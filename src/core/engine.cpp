@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -142,7 +143,11 @@ const Job& SchedulingSimulation::job(JobId id) const {
 }
 
 std::vector<JobId> SchedulingSimulation::queued_jobs() const {
-  std::vector<JobId> ids = queue_.to_vector(rt_);
+  std::vector<JobId> ids = queue_;
+  // FCFS is (submit, id) order, which the dense queue already keeps. Every
+  // other order is a total order with an id tie-break, so sorting the copy
+  // gives the same result whatever order it started in.
+  if (options_.queue_order == QueueOrder::kFcfs) return ids;
   if (trace_ != nullptr) {
     order_queue(ids, trace_->jobs(), options_.queue_order, engine_.now());
   } else {
@@ -625,7 +630,15 @@ void SchedulingSimulation::handle_submit(JobId id) {
     return;
   }
   r.state = JobState::kQueued;
-  queue_.push_back(rt_, id);
+  // Submissions fire in (submit, pull seq) order and ids are assigned in
+  // pull order, so appends arrive in (submit, id) order with rising ids:
+  // the queue stays id-sorted and FCFS-ordered without a sort.
+  DMSCHED_ASSERT(queue_appends_.empty() ||
+                     (j.submit >= last_enqueue_submit_ &&
+                      id > queue_appends_.back()),
+                 "queue append out of (submit, id) order");
+  last_enqueue_submit_ = j.submit;
+  queue_.push_back(id);
   queue_appends_.push_back(id);
   if (options_.sink != nullptr) {
     obs::JobQueued ev;
@@ -656,7 +669,10 @@ void SchedulingSimulation::start_job(JobId id, const Allocation& alloc) {
                  "start_job: allocation does not cover the footprint");
 
   cluster_.commit(alloc);
-  queue_.erase(rt_, id);
+  const auto queued = std::lower_bound(queue_.begin(), queue_.end(), id);
+  DMSCHED_ASSERT(queued != queue_.end() && *queued == id,
+                 "start_job: job missing from the queue");
+  queue_.erase(queued);
   running_.push_back(rt_, id);
 
   r.state = JobState::kRunning;

@@ -161,10 +161,10 @@ class SchedulingSimulation final : public SchedContext {
     kRejected,  ///< can never fit this machine
   };
   /// Which intrusive job list (if any) a job is linked into. The slot makes
-  /// queue/running removal a *checked* O(1) unlink: erase asserts the job is
+  /// running-list removal a *checked* O(1) unlink: erase asserts the job is
   /// a member of the list it is being removed from instead of trusting a
   /// std::find to have succeeded.
-  enum class JobListId : std::uint8_t { kNone, kQueue, kRunning };
+  enum class JobListId : std::uint8_t { kNone, kRunning };
 
   struct JobRuntime {
     JobState state = JobState::kPending;
@@ -187,8 +187,7 @@ class SchedulingSimulation final : public SchedContext {
     /// Rack of the first allocated node — the trace track the job's run
     /// span lives on (obs/).
     std::int32_t home_rack = 0;
-    /// Intrusive doubly-linked-list slots (a job is in at most one list at a
-    /// time — queued xor running — so one pair of links suffices).
+    /// Intrusive doubly-linked-list slots of the running list.
     JobId list_prev = kInvalidJobId;
     JobId list_next = kInvalidJobId;
     JobListId list = JobListId::kNone;
@@ -278,7 +277,14 @@ class SchedulingSimulation final : public SchedContext {
   /// tail epoch, and suffixes of it answer queued_jobs_after.
   std::vector<JobId> queue_appends_;
   std::vector<JobRuntime> rt_;
-  JobList queue_{.id = JobListId::kQueue};      // waiting, insertion order
+  /// Waiting jobs, dense and in id order. Appends arrive in (submit, id)
+  /// order (asserted in handle_submit), so this is already the FCFS order:
+  /// queued_jobs() copies it without sorting, and start_job removes by
+  /// binary search.
+  std::vector<JobId> queue_;
+  /// Submit time of the last queue append — the other half of the append
+  /// order check (streamed runs drop terminal jobs' records).
+  SimTime last_enqueue_submit_{};
   JobList running_{.id = JobListId::kRunning};  // running, insertion order
   std::size_t live_jobs_ = 0;   // not yet terminal
   bool pass_pending_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 
 #include "common/assert.hpp"
 
@@ -229,26 +230,32 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
   // left the queue since.
 
   // Phase 3: examine backfill candidates (everything behind the reserved
-  // prefix). Identical in fast and full passes.
+  // prefix). Identical in fast and full passes. Queue order walks the tail
+  // in place; the other orders re-rank a copy of it.
   const std::size_t depth = reserved_jobs_.size();
   DMSCHED_ASSERT(queue.size() >= qi + depth &&
                      std::equal(reserved_jobs_.begin(), reserved_jobs_.end(),
                                 queue.begin() +
                                     static_cast<std::ptrdiff_t>(qi)),
                  "mem-easy: cached reserved prefix diverged from the queue");
-  std::vector<JobId> candidates(
-      queue.begin() + static_cast<std::ptrdiff_t>(qi + depth), queue.end());
+  std::span<const JobId> candidates(queue.data() + qi + depth,
+                                    queue.size() - qi - depth);
+  std::vector<JobId> reordered;
+  if (options_.order != BackfillOrder::kQueueOrder) {
+    reordered.assign(candidates.begin(), candidates.end());
+    candidates = reordered;
+  }
   switch (options_.order) {
     case BackfillOrder::kQueueOrder:
       break;
     case BackfillOrder::kShortestFirst:
-      std::stable_sort(candidates.begin(), candidates.end(),
+      std::stable_sort(reordered.begin(), reordered.end(),
                        [&](JobId a, JobId b) {
                          return ctx.job(a).walltime < ctx.job(b).walltime;
                        });
       break;
     case BackfillOrder::kBestMemFit:
-      std::stable_sort(candidates.begin(), candidates.end(),
+      std::stable_sort(reordered.begin(), reordered.end(),
                        [&](JobId a, JobId b) {
                          const Bytes local = config.local_mem_per_node;
                          const Bytes da =
@@ -262,13 +269,19 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
       break;
   }
 
+  // The free state at now moves only when a backfill is accepted: every
+  // rejected candidate rolls its hold back, and the what-if reservations
+  // are rolled back too. So it is computed once and refreshed per start.
+  ResourceState state_now = profile_.state_at(now);
+  std::int32_t free_nodes_now = state_now.total_free_nodes();
   std::size_t examined = 0;
-  for (JobId cid : candidates) {
+  for (const JobId cid : candidates) {
     if (examined >= options_.backfill_window) break;
     ++examined;
     ++stats_.jobs_examined;
     const Job& cand = ctx.job(cid);
-    const ResourceState state_now = profile_.state_at(now);
+    // No plan can place a job wider than the free nodes (EASY's rule).
+    if (cand.nodes > free_nodes_now) continue;
     ++stats_.plans_attempted;
     auto take = compute_take(state_now, config, cand, planning);
     if (!take) continue;
@@ -334,6 +347,8 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
       ctx.start_job(cid, alloc);
     }
     any_start = true;
+    state_now = profile_.state_at(now);
+    free_nodes_now = state_now.total_free_nodes();
   }
 
   // Arm the cache only where the phase-1/2 skip is a proof (see header):

@@ -41,60 +41,94 @@ std::int64_t TakePlan::gpu_total() const {
 
 namespace {
 
-/// Rack visit order under a selection policy. Deterministic: ties break on
-/// rack index.
-std::vector<RackId> rack_order(const ResourceState& state,
-                               NodeSelection selection, bool has_deficit) {
-  std::vector<RackId> order(state.free_nodes.size());
+/// Nodes of rack `idx` a job drawing `g` GPUs per node can take.
+std::int32_t gpu_clamped(const ResourceState& state, std::size_t idx,
+                         std::int32_t g) {
+  const std::int32_t free = state.free_nodes[idx];
+  if (g <= 0) return free;
+  return static_cast<std::int32_t>(
+      std::min<std::int64_t>(free, state.free_gpus_in(idx) / g));
+}
+
+/// Stable insertion sort of `order` by `key`: ties keep their current
+/// (rack-index) order, exactly as std::stable_sort would, with no merge
+/// buffer. Rack counts are small, so the quadratic worst case is cheap.
+template <typename Key>
+void insertion_sort_by(std::vector<RackId>& order, const Key& key) {
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const RackId r = order[i];
+    const auto k = key(r);
+    std::size_t j = i;
+    for (; j > 0 && k < key(order[j - 1]); --j) order[j] = order[j - 1];
+    order[j] = r;
+  }
+}
+
+}  // namespace
+
+namespace detail {
+
+void rack_order(const ResourceState& state, NodeSelection selection,
+                bool has_deficit, std::vector<RackId>& order) {
+  order.resize(state.free_nodes.size());
   std::iota(order.begin(), order.end(), 0);
-  auto stable_by = [&](auto key) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](RackId a, RackId b) { return key(a) < key(b); });
+  const auto free_nodes = [&](RackId r) {
+    return state.free_nodes[static_cast<std::size_t>(r)];
+  };
+  const auto pool_free = [&](RackId r) {
+    return state.pool_free[static_cast<std::size_t>(r)].count();
   };
   switch (selection) {
     case NodeSelection::kFirstFit:
       break;  // index order
     case NodeSelection::kPackRacks:
       // Most free nodes first => job spans the fewest racks.
-      stable_by([&](RackId r) {
-        return -state.free_nodes[static_cast<std::size_t>(r)];
-      });
+      insertion_sort_by(order, [&](RackId r) { return -free_nodes(r); });
       break;
     case NodeSelection::kSpreadRacks:
-      // Least-loaded... i.e. fewest free last? Spreading = take from racks
-      // with the most free capacity one at a time; approximated by visiting
-      // emptiest-first which still spreads wide jobs across many racks.
-      stable_by([&](RackId r) {
-        return state.free_nodes[static_cast<std::size_t>(r)];
-      });
+      // Spreading = take from racks with the most free capacity one at a
+      // time; approximated by visiting emptiest-first, which still spreads
+      // wide jobs across many racks.
+      insertion_sort_by(order, free_nodes);
       break;
     case NodeSelection::kPoolAware:
       if (has_deficit) {
         // Deficit jobs chase pool-rich racks to avoid the global tier.
-        stable_by([&](RackId r) {
-          return -state.pool_free[static_cast<std::size_t>(r)].count();
-        });
+        insertion_sort_by(order, [&](RackId r) { return -pool_free(r); });
       } else {
         // Local jobs keep away from pool-rich racks, preserving them for
         // deficit jobs; among equals prefer fuller racks (packing).
-        stable_by([&](RackId r) {
-          return std::pair{state.pool_free[static_cast<std::size_t>(r)].count(),
-                           -state.free_nodes[static_cast<std::size_t>(r)]};
+        insertion_sort_by(order, [&](RackId r) {
+          return std::pair{pool_free(r), -free_nodes(r)};
         });
       }
       break;
   }
-  return order;
 }
 
-}  // namespace
+bool aggregate_admits(const ResourceState& state, const ClusterConfig& config,
+                      const Job& job, const PlacementPolicy& policy) {
+  const std::int32_t g = policy.axes.gpus ? job.gpus_per_node : 0;
+  std::int64_t nodes = 0;
+  for (std::size_t idx = 0; idx < state.free_nodes.size(); ++idx) {
+    nodes += gpu_clamped(state, idx, g);
+  }
+  if (nodes < job.nodes) return false;
+  const Bytes d =
+      job.mem_per_node - min(job.mem_per_node, config.local_mem_per_node);
+  if (d.is_zero()) return true;
+  Bytes reachable{};
+  if (policy.routing != PoolRouting::kGlobalOnly) {
+    for (const Bytes free : state.pool_free) reachable += free;
+  }
+  if (policy.routing != PoolRouting::kRackOnly) reachable += state.global_free;
+  return reachable >= d * job.nodes;
+}
 
-std::optional<TakePlan> compute_take(const ResourceState& state,
-                                     const ClusterConfig& config,
-                                     const Job& job, PlacementPolicy policy) {
-  DMSCHED_ASSERT(state.free_nodes.size() ==
-                     static_cast<std::size_t>(config.racks()),
-                 "compute_take: state shape mismatch");
+std::optional<TakePlan> place_by_racks(const ResourceState& state,
+                                       const ClusterConfig& config,
+                                       const Job& job,
+                                       const PlacementPolicy& policy) {
   TakePlan plan;
   plan.local_per_node = min(job.mem_per_node, config.local_mem_per_node);
   plan.far_per_node = job.mem_per_node - plan.local_per_node;
@@ -108,22 +142,17 @@ std::optional<TakePlan> compute_take(const ResourceState& state,
     if (state.bb_free < job.bb_bytes) return std::nullopt;
     plan.bb_bytes = job.bb_bytes;
   }
-  // Per-rack takeable nodes under the GPU axis: each node taken in rack `r`
-  // draws `g` devices from that rack's pool.
-  const auto gpu_clamped = [&](std::size_t idx, std::int32_t free) {
-    if (g <= 0) return free;
-    return static_cast<std::int32_t>(std::min<std::int64_t>(
-        free, state.free_gpus_in(idx) / g));
-  };
-
+  // Reused across calls: the kernel runs millions of times per backlog run,
+  // and the rack order is its only otherwise-allocating scratch.
+  thread_local std::vector<RackId> order;
+  rack_order(state, policy.selection, !d.is_zero(), order);
   std::int32_t remaining = job.nodes;
-  const auto order = rack_order(state, policy.selection, !d.is_zero());
 
   if (d.is_zero()) {
     for (RackId r : order) {
       if (remaining == 0) break;
       const auto idx = static_cast<std::size_t>(r);
-      const std::int32_t free = gpu_clamped(idx, state.free_nodes[idx]);
+      const std::int32_t free = gpu_clamped(state, idx, g);
       const std::int32_t take = std::min(free, remaining);
       if (take > 0) {
         plan.takes.push_back(
@@ -148,7 +177,7 @@ std::optional<TakePlan> compute_take(const ResourceState& state,
   for (RackId r : order) {
     if (remaining == 0) break;
     const auto idx = static_cast<std::size_t>(r);
-    std::int32_t free = gpu_clamped(idx, state.free_nodes[idx]);
+    std::int32_t free = gpu_clamped(state, idx, g);
     if (free == 0) continue;
     RackTake take{r, 0, Bytes{0}, Bytes{0}, 0};
     if (rack_ok) {
@@ -204,7 +233,7 @@ std::optional<TakePlan> compute_take(const ResourceState& state,
       if (remaining == 0) break;
       const auto idx = static_cast<std::size_t>(r);
       const std::int32_t avail =
-          gpu_clamped(idx, state.free_nodes[idx]) - taken_nodes[idx];
+          gpu_clamped(state, idx, g) - taken_nodes[idx];
       const std::int32_t take_n = std::min(avail, remaining);
       if (take_n <= 0) continue;
       slice(idx).nodes += take_n;
@@ -246,6 +275,20 @@ std::optional<TakePlan> compute_take(const ResourceState& state,
 
   if (remaining > 0) return std::nullopt;
   return plan;
+}
+
+}  // namespace detail
+
+std::optional<TakePlan> compute_take(const ResourceState& state,
+                                     const ClusterConfig& config,
+                                     const Job& job, PlacementPolicy policy) {
+  DMSCHED_ASSERT(state.free_nodes.size() ==
+                     static_cast<std::size_t>(config.racks()),
+                 "compute_take: state shape mismatch");
+  if (!detail::aggregate_admits(state, config, job, policy)) {
+    return std::nullopt;
+  }
+  return detail::place_by_racks(state, config, job, policy);
 }
 
 bool can_apply(const ResourceState& state, const TakePlan& plan) {

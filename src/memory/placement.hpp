@@ -63,6 +63,30 @@ struct TakePlan {
                                                    const Job& job,
                                                    PlacementPolicy policy);
 
+/// The pieces of compute_take, exposed for the property tests.
+namespace detail {
+
+/// Necessary conditions for a plan, checked before any rack ordering: the
+/// free nodes (GPU-clamped) cover the request, and for a deficit job the
+/// free bytes in the tiers its routing may draw from cover the deficit.
+/// False means compute_take has no plan; true promises nothing.
+[[nodiscard]] bool aggregate_admits(const ResourceState& state,
+                                    const ClusterConfig& config,
+                                    const Job& job,
+                                    const PlacementPolicy& policy);
+
+/// The full rack walk: compute_take without the aggregate bound.
+[[nodiscard]] std::optional<TakePlan> place_by_racks(
+    const ResourceState& state, const ClusterConfig& config, const Job& job,
+    const PlacementPolicy& policy);
+
+/// Rack visit order under `selection` into `order` (resized, no other
+/// allocation). Deterministic: ties break on rack index.
+void rack_order(const ResourceState& state, NodeSelection selection,
+                bool has_deficit, std::vector<RackId>& order);
+
+}  // namespace detail
+
 /// True when `plan` could be subtracted from `state` without going
 /// negative (non-mutating feasibility probe for interval fitting).
 [[nodiscard]] bool can_apply(const ResourceState& state, const TakePlan& plan);

@@ -11,7 +11,12 @@ namespace {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/csv_test.csv";
+  // One file per case: ctest runs every case as its own process, in
+  // parallel, so a shared path would race.
+  std::string path_ =
+      ::testing::TempDir() + "/csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
 
   std::string read_back() {
     std::ifstream in(path_);

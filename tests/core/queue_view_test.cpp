@@ -1,0 +1,140 @@
+// Differential test of the engine's dense queue: at every scheduler pass,
+// before and after the policy runs, queued_jobs() must equal order_queue
+// applied to the queued set as tracked independently — from the lifecycle
+// events a trace sink sees (queued adds a job, started removes it). Covers
+// every QueueOrder, eager and streamed ingestion, on a backlogged
+// (load 1.5) mem-aware-EASY run.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <ostream>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "core/engine.hpp"
+#include "core/experiment.hpp"
+#include "obs/trace_sink.hpp"
+#include "sched/queue_policy.hpp"
+#include "testing/builders.hpp"
+#include "workload/trace_source.hpp"
+
+namespace dmsched {
+
+// Names the parameter in test listings instead of printing its bytes.
+void PrintTo(QueueOrder order, std::ostream* os) { *os << to_string(order); }
+
+namespace {
+
+/// The queued set, rebuilt from lifecycle events alone.
+class QueuedSetSink final : public obs::TraceSink {
+ public:
+  void on_job_queued(const obs::JobQueued& e) override { queued.insert(e.job); }
+  void on_job_started(const obs::JobStarted& e) override {
+    queued.erase(e.job);
+  }
+  std::set<JobId> queued;
+};
+
+/// Runs `inner`, checking the context's queue view around every pass.
+class CheckingScheduler final : public Scheduler {
+ public:
+  CheckingScheduler(std::unique_ptr<Scheduler> inner, const QueuedSetSink& sink,
+                    QueueOrder order)
+      : inner_(std::move(inner)), sink_(sink), order_(order) {}
+
+  [[nodiscard]] const char* name() const override { return inner_->name(); }
+  [[nodiscard]] bool memory_aware() const override {
+    return inner_->memory_aware();
+  }
+  void schedule(SchedContext& ctx) override {
+    check(ctx);
+    inner_->schedule(ctx);
+    check(ctx);
+  }
+
+  std::size_t checks = 0;
+  std::size_t mismatches = 0;
+  std::size_t max_depth = 0;
+
+ private:
+  void check(const SchedContext& ctx) {
+    std::vector<JobId> expected(sink_.queued.begin(), sink_.queued.end());
+    order_queue(
+        expected, [&](JobId id) -> const Job& { return ctx.job(id); }, order_,
+        ctx.now());
+    ++checks;
+    if (ctx.queued_jobs() != expected) ++mismatches;
+    max_depth = std::max(max_depth, expected.size());
+  }
+
+  std::unique_ptr<Scheduler> inner_;
+  const QueuedSetSink& sink_;
+  QueueOrder order_;
+};
+
+ClusterConfig pooled_cluster() {
+  return testing::tiny_cluster(gib(std::int64_t{48}), gib(std::int64_t{32}));
+}
+
+Trace backlog_trace() {
+  ExperimentConfig c;
+  c.cluster = pooled_cluster();
+  c.workload_reference_mem = gib(std::int64_t{64});
+  c.model = WorkloadModel::kMixed;
+  c.jobs = 1500;
+  c.seed = 31;
+  c.target_load = 1.5;
+  return make_workload(c);
+}
+
+void expect_view_matches(QueueOrder order, std::size_t lookahead) {
+  SCOPED_TRACE(::testing::Message()
+               << to_string(order) << " lookahead " << lookahead);
+  static const Trace trace = backlog_trace();
+  QueuedSetSink sink;
+  auto checker = std::make_unique<CheckingScheduler>(
+      make_scheduler(SchedulerKind::kMemAwareEasy), sink, order);
+  CheckingScheduler& probe = *checker;
+  EngineOptions options;
+  options.queue_order = order;
+  options.submit_lookahead = lookahead;
+  options.sink = &sink;
+  options.trace_detail = obs::TraceDetail::kLifecycle;
+  // The simulation owns the checker, so it must outlive the checks below.
+  EagerTraceSource source(trace);
+  const std::unique_ptr<SchedulingSimulation> sim =
+      lookahead == 0
+          ? std::make_unique<SchedulingSimulation>(
+                pooled_cluster(), trace, std::move(checker), options)
+          : std::make_unique<SchedulingSimulation>(
+                pooled_cluster(), source, std::move(checker), options);
+  const RunMetrics m = sim->run();
+  EXPECT_EQ(m.jobs.size(), trace.size());
+  EXPECT_EQ(probe.mismatches, 0u) << "of " << probe.checks << " checks";
+  // The run must actually build a backlog, or the check proves little.
+  EXPECT_GT(probe.max_depth, 100u);
+  EXPECT_TRUE(sink.queued.empty());
+}
+
+class QueueViewTest : public ::testing::TestWithParam<QueueOrder> {};
+
+TEST_P(QueueViewTest, EagerMatchesIndependentOrdering) {
+  expect_view_matches(GetParam(), 0);
+}
+
+TEST_P(QueueViewTest, StreamedMatchesIndependentOrdering) {
+  expect_view_matches(GetParam(), 256);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllOrders, QueueViewTest,
+    ::testing::Values(QueueOrder::kFcfs, QueueOrder::kShortestFirst,
+                      QueueOrder::kLargestFirst, QueueOrder::kWfp),
+    [](const ::testing::TestParamInfo<QueueOrder>& info) {
+      return std::string(to_string(info.param));
+    });
+
+}  // namespace
+}  // namespace dmsched

@@ -2,6 +2,7 @@
 // machine) combination. Parameterized sweep across the full matrix.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "cluster/system_config.hpp"
@@ -16,6 +17,12 @@ struct Matrix {
   WorkloadModel model;
   bool with_pool;
 };
+
+// Without this gtest prints the raw object bytes, padding included.
+void PrintTo(const Matrix& m, std::ostream* os) {
+  *os << to_string(m.scheduler) << '/' << to_string(m.model) << '/'
+      << (m.with_pool ? "pool" : "nopool");
+}
 
 class InvariantTest : public ::testing::TestWithParam<Matrix> {
  protected:

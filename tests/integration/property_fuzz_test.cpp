@@ -1,8 +1,16 @@
 // Randomized property tests with independent oracles:
 //  - the placement kernel against a closed-form max-startable-nodes formula
 //    and apply/release round-trip identities;
+//  - the kernel's aggregate bound against the full rack walk, and its
+//    allocation-free rack order against a std::stable_sort reference, on
+//    states whose racks tie;
 //  - profile fitting against brute-force probing of state_at().
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "sched/profile.hpp"
@@ -153,6 +161,141 @@ TEST(PlacementFuzz, MoreResourcesNeverBreakFeasibility) {
     }
     grown.global_free += gib(std::int64_t{64});
     EXPECT_TRUE(compute_take(grown, bigger, j, policy).has_value());
+  }
+}
+
+/// fuzz_config plus, at random, a GPU axis and a burst buffer.
+ClusterConfig fuzz_axes_config(Rng& rng) {
+  ClusterConfig c = fuzz_config(rng);
+  if (rng.bernoulli(0.5)) {
+    c.gpus_per_node = static_cast<std::int32_t>(rng.uniform_int(1, 4));
+  }
+  if (rng.bernoulli(0.5)) c.bb_capacity = gib(rng.uniform_int(1, 64));
+  return c;
+}
+
+/// Draw from {0, half, full} of each capacity, so racks often tie on free
+/// nodes, free pool bytes, or both — the cases the rack order's tie-break
+/// decides.
+ResourceState tied_state(Rng& rng, const ClusterConfig& c) {
+  ResourceState s = empty_state(c);
+  const auto pick = [&](auto full) {
+    return full * rng.uniform_int(0, 2) / 2;
+  };
+  for (std::size_t r = 0; r < s.free_nodes.size(); ++r) {
+    s.free_nodes[r] = static_cast<std::int32_t>(pick(s.free_nodes[r]));
+    s.pool_free[r] = Bytes{pick(s.pool_free[r].count())};
+    if (r < s.free_gpus.size()) s.free_gpus[r] = pick(s.free_gpus[r]);
+  }
+  s.global_free = Bytes{pick(s.global_free.count())};
+  s.bb_free = Bytes{pick(s.bb_free.count())};
+  return s;
+}
+
+Job fuzz_axes_job(Rng& rng, const ClusterConfig& c) {
+  Job j = fuzz_job(rng, c);
+  if (c.has_gpus()) {
+    j.gpus_per_node =
+        static_cast<std::int32_t>(rng.uniform_int(0, c.gpus_per_node));
+  }
+  if (c.has_burst_buffer()) j.bb_bytes = gib(rng.uniform_int(0, 32));
+  return j;
+}
+
+constexpr NodeSelection kSelections[] = {
+    NodeSelection::kFirstFit, NodeSelection::kPackRacks,
+    NodeSelection::kSpreadRacks, NodeSelection::kPoolAware};
+constexpr PoolRouting kRoutings[] = {
+    PoolRouting::kRackOnly, PoolRouting::kRackThenGlobal,
+    PoolRouting::kGlobalOnly, PoolRouting::kRackNeighborGlobal};
+
+TEST(PlacementFuzz, AggregateBoundNeverRejectsAPlaceableJob) {
+  Rng rng(4242);
+  std::size_t placed = 0;
+  std::size_t pruned = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const ClusterConfig c = fuzz_axes_config(rng);
+    const ResourceState s = tied_state(rng, c);
+    const Job j = fuzz_axes_job(rng, c);
+    for (const NodeSelection sel : kSelections) {
+      for (const PoolRouting route : kRoutings) {
+        for (const ResourceAxes axes :
+             {ResourceAxes::memory_only(), ResourceAxes::all()}) {
+          const PlacementPolicy policy{sel, route, axes};
+          const auto full = detail::place_by_racks(s, c, j, policy);
+          const bool admits = detail::aggregate_admits(s, c, j, policy);
+          if (full) {
+            ++placed;
+            EXPECT_TRUE(admits)
+                << "round " << round << ": bound rejected a placeable job ("
+                << to_string(sel) << ", " << to_string(route) << ")";
+          }
+          if (!admits) ++pruned;
+          // The bounded kernel answers exactly as the full walk.
+          const auto bounded = compute_take(s, c, j, policy);
+          ASSERT_EQ(bounded.has_value(), full.has_value()) << "round " << round;
+          if (full) {
+            EXPECT_EQ(bounded->node_total(), full->node_total());
+          }
+        }
+      }
+    }
+  }
+  // Both outcomes must occur, or the property holds vacuously.
+  EXPECT_GT(placed, 100u);
+  EXPECT_GT(pruned, 100u);
+}
+
+/// Reference order: std::stable_sort of the rack indices by the selection's
+/// key.
+std::vector<RackId> reference_rack_order(const ResourceState& s,
+                                         NodeSelection sel, bool deficit) {
+  std::vector<RackId> order(s.free_nodes.size());
+  std::iota(order.begin(), order.end(), 0);
+  const auto nodes = [&](RackId r) {
+    return s.free_nodes[static_cast<std::size_t>(r)];
+  };
+  const auto pool = [&](RackId r) {
+    return s.pool_free[static_cast<std::size_t>(r)].count();
+  };
+  const auto by = [&](auto key) {
+    std::stable_sort(order.begin(), order.end(),
+                     [&](RackId a, RackId b) { return key(a) < key(b); });
+  };
+  switch (sel) {
+    case NodeSelection::kFirstFit:
+      break;
+    case NodeSelection::kPackRacks:
+      by([&](RackId r) { return -nodes(r); });
+      break;
+    case NodeSelection::kSpreadRacks:
+      by(nodes);
+      break;
+    case NodeSelection::kPoolAware:
+      if (deficit) {
+        by([&](RackId r) { return -pool(r); });
+      } else {
+        by([&](RackId r) { return std::pair{pool(r), -nodes(r)}; });
+      }
+      break;
+  }
+  return order;
+}
+
+TEST(PlacementFuzz, RackOrderMatchesStableSortReference) {
+  Rng rng(9001);
+  std::vector<RackId> order;
+  for (int round = 0; round < kRounds; ++round) {
+    const ClusterConfig c = fuzz_axes_config(rng);
+    const ResourceState s = tied_state(rng, c);
+    for (const NodeSelection sel : kSelections) {
+      for (const bool deficit : {false, true}) {
+        detail::rack_order(s, sel, deficit, order);
+        EXPECT_EQ(order, reference_rack_order(s, sel, deficit))
+            << "round " << round << " " << to_string(sel)
+            << (deficit ? " deficit" : " local");
+      }
+    }
   }
 }
 
