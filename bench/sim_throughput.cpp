@@ -1,39 +1,13 @@
-// Simulation-core throughput: the indexed d-ary event queue vs. the old
-// lazy-tombstone binary heap, at large-trace scale.
+// Simulation-core throughput at large-trace scale.
 //
 // The paper's tables replay full SWF traces, and related work evaluates
 // disaggregation on month-scale production traces, so the event core must
-// sustain 10^5–10^6-job replays. Until this bench's PR the core was
-// quadratic under cancellation: EventQueue::cancel probed the whole heap
-// (std::any_of) to answer "already fired?", and next_time() rescanned
-// tombstoned fronts. This bench quantifies the rewrite two ways:
+// sustain 10^5–10^6-job replays. This bench measures that several ways:
 //
-//   queue replay  — the two queue implementations (legacy = a faithful
-//                   local copy of the tombstone heap, indexed = the live
-//                   sim/ EventQueue) drive identical event scripts derived
-//                   from the large-replay scenario: all submissions pushed
-//                   up front (exactly what SchedulingSimulation::run does),
-//                   then one cancel per job in two shapes —
-//                     walltime-kill: the completion cancels a kill scheduled
-//                       just after it. The kill is among the *earliest*
-//                       pending events, so the legacy any_of probe finds it
-//                       within a few entries: legacy's best case.
-//                     reservation churn: the completion cancels a
-//                       far-future reservation (the job's planned start
-//                       under a month-deep backlog, conservative-backfill
-//                       style). Far-future entries live in the leaf half of
-//                       the legacy heap vector, so every cancel scans ~n/2
-//                       of a 10^5-entry heap — the quadratic regime the
-//                       indexed heap removes.
-//                   Reported as events/sec with a cross-checked drain
-//                   checksum, so a semantic drift between the two
-//                   implementations fails loudly instead of benchmarking
-//                   different work.
 //   end-to-end    — full SchedulingSimulation replays (EASY) of large-replay
 //                   prefixes, reported as jobs/sec: what a user of sweeps
 //                   and benches actually experiences.
-//   scheduler-pass — the incremental-profile rewrite, measured the same
-//                   honest way as the queue replay: a faithful bench-local
+//   scheduler-pass — the incremental-profile rewrite: a faithful bench-local
 //                   copy of the pre-incremental EASY pass (full queue walk
 //                   every pass, shadow recomputed from scratch) against the
 //                   live cached-pass scheduler, both driving complete
@@ -66,7 +40,6 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -75,148 +48,17 @@
 #include "obs/counters.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/recording_sink.hpp"
-#include "sim/event_queue.hpp"
 #include "workload/scenarios.hpp"
 
 namespace {
 
 using namespace dmsched;
 using namespace dmsched::bench;
-using sim::EventClass;
-using sim::EventFn;
-using sim::EventId;
 
 using Clock = std::chrono::steady_clock;
 
 double sec_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// The pre-rewrite event queue, preserved verbatim: a binary heap with lazy
-/// cancellation. cancel() answers "pending?" with a full-heap std::any_of
-/// probe and next_time() linearly rescans when the front is a tombstone —
-/// the O(n)-per-operation behaviour the indexed heap replaces. This is the
-/// baseline; the live implementation is sim/event_queue.{hpp,cpp}.
-class LegacyTombstoneQueue {
- public:
-  EventId push(SimTime time, EventClass cls, EventFn fn) {
-    const EventId id = next_id_++;
-    heap_.push_back({time, cls, next_seq_++, id, std::move(fn)});
-    std::push_heap(heap_.begin(), heap_.end(), later);
-    ++live_;
-    return id;
-  }
-
-  bool cancel(EventId id) {
-    if (id >= next_id_) return false;
-    if (cancelled_.contains(id)) return false;
-    const bool pending = std::any_of(
-        heap_.begin(), heap_.end(),
-        [&](const Entry& e) { return e.id == id; });
-    if (!pending) return false;
-    cancelled_.insert(id);
-    --live_;
-    return true;
-  }
-
-  [[nodiscard]] bool empty() const { return live_ == 0; }
-
-  struct Fired {
-    EventId id;
-    SimTime time;
-    EventClass cls;
-    EventFn fn;
-  };
-  Fired pop() {
-    while (!heap_.empty() && cancelled_.contains(heap_.front().id)) {
-      cancelled_.erase(heap_.front().id);
-      std::pop_heap(heap_.begin(), heap_.end(), later);
-      heap_.pop_back();
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    Entry e = std::move(heap_.back());
-    heap_.pop_back();
-    --live_;
-    return {e.id, e.time, e.cls, std::move(e.fn)};
-  }
-
- private:
-  struct Entry {
-    SimTime time;
-    EventClass cls;
-    std::uint64_t seq;
-    EventId id;
-    EventFn fn;
-  };
-  static bool later(const Entry& a, const Entry& b) {
-    if (a.time != b.time) return a.time > b.time;
-    if (a.cls != b.cls) return a.cls > b.cls;
-    return a.seq > b.seq;
-  }
-
-  std::vector<Entry> heap_;
-  std::unordered_set<EventId> cancelled_;
-  std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
-  std::size_t live_ = 0;
-};
-
-struct ReplayResult {
-  std::size_t events = 0;    // events drained (fired, not cancelled)
-  std::size_t cancels = 0;   // successful cancellations
-  std::uint64_t checksum = 0;  // order-sensitive digest of the drain
-  double elapsed_s = 0.0;
-};
-
-/// How far ahead of its submission a job's cancelled event is scheduled.
-enum class CancelShape {
-  /// Walltime kill: just after the completion — among the earliest pending
-  /// events, so even a linear probe finds it near the heap front.
-  kWalltimeKill,
-  /// Backfill-style reservation at the job's planned start under a deep
-  /// backlog: far beyond every near-term event, i.e. in the leaf half of a
-  /// binary heap's backing vector, where a linear probe scans ~n/2 entries.
-  kReservation,
-};
-
-constexpr std::int64_t kReservationHorizonUsec =
-    std::int64_t{30} * 24 * 3600 * 1'000'000;  // a month-deep backlog
-
-/// Drive one queue implementation through the trace-derived script: push
-/// every submission up front, let each submission schedule its completion
-/// plus one future event (per the shape), let each completion cancel that
-/// event. Identical for both queues; the checksum folds (id, time) of every
-/// fired event in drain order, so the two implementations must agree
-/// event-for-event.
-template <class Queue>
-ReplayResult replay(const Trace& trace, CancelShape shape) {
-  ReplayResult r;
-  Queue q;
-  const auto start = Clock::now();
-  for (const Job& j : trace.jobs()) {
-    q.push(j.submit, EventClass::kSubmission,
-           [&q, &j, &r, shape](SimTime now) {
-             const SimTime at =
-                 shape == CancelShape::kWalltimeKill
-                     ? j.submit + max(j.walltime, j.runtime)
-                     : j.submit + usec(kReservationHorizonUsec);
-             const EventId target = q.push(at, EventClass::kTimer,
-                                           [](SimTime) {});
-             q.push(now + j.runtime, EventClass::kCompletion,
-                    [&q, &r, target](SimTime) {
-                      if (q.cancel(target)) ++r.cancels;
-                    });
-           });
-  }
-  while (!q.empty()) {
-    auto f = q.pop();
-    ++r.events;
-    r.checksum = r.checksum * 1099511628211ULL ^
-                 (static_cast<std::uint64_t>(f.time.usec()) + f.id);
-    f.fn(f.time);
-  }
-  r.elapsed_s = sec_since(start);
-  return r;
 }
 
 /// The pre-incremental EASY pass, preserved verbatim: every pass re-walks
@@ -654,67 +496,13 @@ int main(int argc, char** argv) {
 
   const std::size_t kSizes[] = {1000, 10000, 100000};
 
-  ConsoleTable table(
-      "sim core throughput — tombstone heap vs. indexed d-ary heap");
-  table.columns({"shape", "jobs", "events", "cancels", "legacy (s)",
-                 "indexed (s)", "legacy ev/s", "indexed ev/s", "speedup"});
   auto csv = csv_for("sim_throughput");
-  // One schema for both sections: queue-replay rows leave jobs_per_s at -1,
-  // end-to-end rows leave the legacy/cancel columns at -1 (there is no
-  // legacy arm for a full simulation — the live core is the only one).
-  csv.header({"workload", "jobs", "events", "cancels", "legacy_s",
-              "indexed_s", "legacy_events_per_s", "indexed_events_per_s",
-              "speedup", "jobs_per_s"});
+  // One schema for both sections: end-to-end rows leave legacy_s and
+  // speedup at -1 (there is no legacy arm for a full simulation).
+  csv.header({"workload", "jobs", "legacy_s", "elapsed_s", "speedup",
+              "jobs_per_s"});
 
-  const struct {
-    CancelShape shape;
-    const char* name;
-  } kShapes[] = {
-      {CancelShape::kWalltimeKill, "walltime-kill (near-front)"},
-      {CancelShape::kReservation, "reservation churn (deep)"},
-  };
-  for (const auto& [shape, shape_name] : kShapes) {
-    for (const std::size_t jobs : kSizes) {
-      const Scenario scenario = make_scenario("large-replay", {.jobs = jobs});
-      const ReplayResult legacy =
-          replay<LegacyTombstoneQueue>(scenario.trace, shape);
-      const ReplayResult indexed =
-          replay<sim::EventQueue>(scenario.trace, shape);
-      if (legacy.checksum != indexed.checksum ||
-          legacy.events != indexed.events ||
-          legacy.cancels != indexed.cancels) {
-        std::fprintf(stderr,
-                     "FATAL: drain mismatch (%s, %zu jobs; "
-                     "events %zu/%zu, cancels %zu/%zu)\n",
-                     shape_name, jobs, legacy.events, indexed.events,
-                     legacy.cancels, indexed.cancels);
-        return 1;
-      }
-      const double legacy_eps =
-          static_cast<double>(legacy.events) / legacy.elapsed_s;
-      const double indexed_eps =
-          static_cast<double>(indexed.events) / indexed.elapsed_s;
-      const double speedup = legacy.elapsed_s / indexed.elapsed_s;
-      table.row({shape_name, num(jobs), num(legacy.events),
-                 num(legacy.cancels), f3(legacy.elapsed_s),
-                 f3(indexed.elapsed_s), f1(legacy_eps), f1(indexed_eps),
-                 strformat("%.1fx", speedup)});
-      csv.add(shape_name)
-          .add(jobs)
-          .add(legacy.events)
-          .add(legacy.cancels)
-          .add(legacy.elapsed_s)
-          .add(indexed.elapsed_s)
-          .add(legacy_eps)
-          .add(indexed_eps)
-          .add(speedup)
-          .add(std::int64_t{-1});
-      csv.end_row();
-    }
-  }
-  table.print();
-
-  // End-to-end: full EASY replays of the same prefixes on the live core
+  // End-to-end: full EASY replays of large-replay prefixes on the live core
   // (scheduler + cluster + metrics included), the number sweep users feel.
   ConsoleTable e2e("end-to-end replay (EASY on large-replay prefixes)");
   e2e.columns({"jobs", "elapsed (s)", "jobs/s", "makespan (h)", "completed"});
@@ -729,11 +517,7 @@ int main(int argc, char** argv) {
     csv.add("end-to-end-easy")
         .add(jobs)
         .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
         .add(elapsed)
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
         .add(std::int64_t{-1})
         .add(static_cast<double>(jobs) / elapsed);
     csv.end_row();
@@ -776,12 +560,8 @@ int main(int argc, char** argv) {
                strformat("%.1fx", speedup)});
     csv.add("sched-pass-easy")
         .add(jobs)
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
         .add(legacy_s)
         .add(incr_s)
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
         .add(speedup)
         .add(static_cast<double>(jobs) / incr_s);
     csv.end_row();
@@ -800,11 +580,7 @@ int main(int argc, char** argv) {
     csv.add("sched-pass-easy-incremental-only")
         .add(jobs)
         .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
         .add(elapsed)
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
         .add(std::int64_t{-1})
         .add(static_cast<double>(jobs) / elapsed);
     csv.end_row();

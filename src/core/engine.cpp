@@ -5,12 +5,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "obs/counters.hpp"
 
 namespace dmsched {
+
+// An event's tag carries a job id as is.
+static_assert(std::is_same_v<JobId, decltype(sim::Event::tag)>);
 
 namespace {
 
@@ -130,7 +134,7 @@ SchedulingSimulation::SchedulingSimulation(ClusterConfig config,
   metrics_.label = std::string(scheduler_->name()) + "/" + config_.name;
 }
 
-SimTime SchedulingSimulation::now() const { return engine_.now(); }
+SimTime SchedulingSimulation::now() const { return events_.now(); }
 
 const Cluster& SchedulingSimulation::cluster() const { return cluster_; }
 
@@ -149,11 +153,11 @@ std::vector<JobId> SchedulingSimulation::queued_jobs() const {
   // gives the same result whatever order it started in.
   if (options_.queue_order == QueueOrder::kFcfs) return ids;
   if (trace_ != nullptr) {
-    order_queue(ids, trace_->jobs(), options_.queue_order, engine_.now());
+    order_queue(ids, trace_->jobs(), options_.queue_order, now());
   } else {
     order_queue(
         ids, [this](JobId id) -> const Job& { return job(id); },
-        options_.queue_order, engine_.now());
+        options_.queue_order, now());
   }
   return ids;
 }
@@ -215,7 +219,7 @@ TakePlan SchedulingSimulation::take_from_allocation(const Allocation& alloc,
 }
 
 void SchedulingSimulation::record_usage_change() {
-  const double t = engine_.now().seconds();
+  const double t = now().seconds();
   busy_nodes_tw_.record(t, static_cast<double>(cluster_.busy_nodes()));
   rack_pool_tw_.record(t, static_cast<double>(cluster_.rack_pools_used().count()));
   global_pool_tw_.record(t, static_cast<double>(cluster_.global_pool_used().count()));
@@ -233,7 +237,7 @@ void SchedulingSimulation::record_usage_change() {
 
 void SchedulingSimulation::sample_series() {
   TimeSample s;
-  s.time = engine_.now();
+  s.time = now();
   s.busy_nodes = cluster_.busy_nodes();
   s.queued_jobs = static_cast<std::int32_t>(queue_.size());
   s.running_jobs = static_cast<std::int32_t>(running_.size());
@@ -241,8 +245,8 @@ void SchedulingSimulation::sample_series() {
   s.global_pool_used = cluster_.global_pool_used();
   metrics_.series.push_back(s);
   if (live_jobs_ > 0) {
-    engine_.schedule_in(options_.sample_interval, sim::EventClass::kTimer,
-                        [this](SimTime) { sample_series(); });
+    events_.push(now() + options_.sample_interval,
+                 {sim::EventClass::kTimer, kInvalidJobId});
   }
 }
 
@@ -256,30 +260,23 @@ void SchedulingSimulation::migration_check() {
     if (latency > SimTime{0}) {
       // Bandwidth-limited copy: the move lands bytes/bandwidth later, and
       // the job is marked in flight so later scans skip it until it does.
-      migration_.on_dispatch(m.job);
-      engine_.schedule_in(latency, sim::EventClass::kMigration,
-                          [this, m](SimTime) { apply_migration(m, true); });
+      migration_.on_dispatch(m);
+      events_.push(now() + latency, {sim::EventClass::kMigration, m.job});
     } else {
-      apply_migration(m, false);
+      apply_migration(m);
     }
   }
   if (live_jobs_ > 0) {
-    engine_.schedule_in(options_.migration.check_interval,
-                        sim::EventClass::kMigration,
-                        [this](SimTime) { migration_check(); });
+    events_.push(now() + options_.migration.check_interval,
+                 {sim::EventClass::kMigration, kInvalidJobId});
   }
 }
 
-void SchedulingSimulation::apply_migration(const MigrationDecision& decision,
-                                           bool delayed) {
-  if (delayed) migration_.on_applied(decision.job);
+void SchedulingSimulation::apply_migration(const MigrationDecision& decision) {
   const JobId id = decision.job;
   JobRuntime& r = rt_[id];
-  // The copy may have raced the job's completion (kCompletion pops before
-  // kMigration at one timestamp, so a finished job is already kDone here) —
-  // the move is moot. Skipping is deterministic: it depends only on event
-  // order.
-  if (r.state != JobState::kRunning) return;
+  DMSCHED_ASSERT(r.state == JobState::kRunning,
+                 "apply_migration: job is not running");
   const Allocation* alloc = cluster_.find_allocation(id);
   DMSCHED_ASSERT(alloc != nullptr, "apply_migration: running job unledgered");
   // Re-validate against the live ledger: other jobs started or finished
@@ -293,7 +290,7 @@ void SchedulingSimulation::apply_migration(const MigrationDecision& decision,
   }
 
   window_advance();
-  const SimTime t = engine_.now();
+  const SimTime t = now();
   digest_fold('M');
   digest_fold(id);
   digest_fold(static_cast<std::uint64_t>(t.usec()));
@@ -325,11 +322,9 @@ void SchedulingSimulation::apply_migration(const MigrationDecision& decision,
   const SimTime wall_left = j.walltime - min(j.walltime, r.work_done);
   r.expected_end = t + wall_left.scaled(new_dilation);
 
-  const bool cancelled = engine_.cancel(r.completion_event);
+  const bool cancelled = events_.cancel(r.completion_event);
   DMSCHED_ASSERT(cancelled, "apply_migration: completion already fired");
-  r.completion_event =
-      engine_.schedule_at(r.end, sim::EventClass::kCompletion,
-                          [this, id](SimTime) { handle_complete(id); });
+  r.completion_event = events_.push(r.end, {sim::EventClass::kCompletion, id});
   // Refresh the availability timeline: the planning bound and the counted
   // take both changed, so incremental passes must see a version bump.
   timeline_.on_finish(id, old_expected);
@@ -418,8 +413,7 @@ bool SchedulingSimulation::pull_one() {
   if (source_ != nullptr) live_jobs_rec_.emplace(id, std::move(j));
   ++live_jobs_;
   ++pending_submissions_;
-  engine_.schedule_at(submit, sim::EventClass::kSubmission,
-                      [this, id](SimTime) { handle_submit(id); });
+  events_.push(submit, {sim::EventClass::kSubmission, id});
   return true;
 }
 
@@ -446,7 +440,7 @@ void SchedulingSimulation::window_integrate(SimTime from, SimTime to) {
 void SchedulingSimulation::window_advance() {
   const SimTime w = options_.checkpoint_interval;
   if (w <= SimTime{0}) return;
-  const SimTime now = engine_.now();
+  const SimTime now = events_.now();
   // Close every window whose boundary the clock has reached. State is
   // integrated with pre-mutation values, which is why every handler calls
   // this first.
@@ -496,11 +490,38 @@ void SchedulingSimulation::flush_final_window() {
   }
 }
 
+void SchedulingSimulation::dispatch(sim::Event ev) {
+  const JobId id = ev.tag;
+  switch (ev.cls) {
+    case sim::EventClass::kCompletion:
+      handle_complete(id);
+      break;
+    case sim::EventClass::kSubmission:
+      handle_submit(id);
+      break;
+    case sim::EventClass::kTimer:
+      sample_series();
+      break;
+    case sim::EventClass::kMigration:
+      if (id == kInvalidJobId) {
+        migration_check();
+      } else if (const auto decision = migration_.land(id)) {
+        // A move whose job finished first lands moot: kCompletion pops
+        // before kMigration at one timestamp, and the finish dropped the
+        // decision. Skipping depends only on event order.
+        apply_migration(*decision);
+      }
+      break;
+    case sim::EventClass::kSchedule:
+      run_scheduler_pass();
+      break;
+  }
+}
+
 void SchedulingSimulation::request_schedule_pass() {
   if (pass_pending_) return;
   pass_pending_ = true;
-  engine_.schedule_at(engine_.now(), sim::EventClass::kSchedule,
-                      [this](SimTime) { run_scheduler_pass(); });
+  events_.push(now(), {sim::EventClass::kSchedule, kInvalidJobId});
 }
 
 void SchedulingSimulation::run_scheduler_pass() {
@@ -538,7 +559,7 @@ void SchedulingSimulation::run_scheduler_pass() {
   if (emit_pass) {
     obs::PassSpan span;
     span.seq = pass_seq_ - 1;
-    span.at = engine_.now();
+    span.at = now();
     span.kind = scheduler_->name();
     span.queue_depth = depth_before;
     span.running = running_before;
@@ -561,7 +582,7 @@ void SchedulingSimulation::run_scheduler_pass() {
   }
   if (want_gauges) {
     obs::GaugeSample g;
-    g.at = engine_.now();
+    g.at = now();
     g.busy_nodes = cluster_.busy_nodes();
     g.queue_depth = queue_.size();
     g.running = running_.size();
@@ -607,7 +628,7 @@ void SchedulingSimulation::handle_submit(JobId id) {
   window_advance();
   digest_fold('S');
   digest_fold(id);
-  digest_fold(static_cast<std::uint64_t>(engine_.now().usec()));
+  digest_fold(static_cast<std::uint64_t>(now().usec()));
   ++window_acc_.jobs_submitted;
 
   JobRuntime& r = rt_[id];  // after refill: pull_one may grow rt_
@@ -617,13 +638,13 @@ void SchedulingSimulation::handle_submit(JobId id) {
     // The job cannot run on this machine shape at all (e.g. footprint above
     // local memory and no pool big enough). Table III counts these.
     r.state = JobState::kRejected;
-    r.end = engine_.now();
+    r.end = now();
     --live_jobs_;
     ++window_acc_.jobs_rejected;
     if (options_.sink != nullptr) {
       obs::JobRejected ev;
       ev.job = id;
-      ev.at = engine_.now();
+      ev.at = now();
       guarded_emit([&] { options_.sink->on_job_rejected(ev); });
     }
     if (source_ != nullptr) live_jobs_rec_.erase(id);  // after last use of j
@@ -643,7 +664,7 @@ void SchedulingSimulation::handle_submit(JobId id) {
   if (options_.sink != nullptr) {
     obs::JobQueued ev;
     ev.job = id;
-    ev.submit = engine_.now();
+    ev.submit = now();
     ev.nodes = j.nodes;
     ev.mem_per_node_gib = j.mem_per_node.gib();
     guarded_emit([&] { options_.sink->on_job_queued(ev); });
@@ -655,7 +676,7 @@ void SchedulingSimulation::start_job(JobId id, const Allocation& alloc) {
   window_advance();
   digest_fold('R');
   digest_fold(id);
-  digest_fold(static_cast<std::uint64_t>(engine_.now().usec()));
+  digest_fold(static_cast<std::uint64_t>(now().usec()));
   ++window_acc_.jobs_started;
 
   JobRuntime& r = rt_[id];
@@ -676,7 +697,7 @@ void SchedulingSimulation::start_job(JobId id, const Allocation& alloc) {
   running_.push_back(rt_, id);
 
   r.state = JobState::kRunning;
-  r.start = engine_.now();
+  r.start = now();
   r.seg_start = r.start;
   r.dilation = options_.slowdown.dilation_for(alloc, j);
   r.take = take_from_allocation(alloc, config_);
@@ -690,12 +711,10 @@ void SchedulingSimulation::start_job(JobId id, const Allocation& alloc) {
     actual = j.walltime;
     r.killed = true;
   }
-  r.end = engine_.now() + actual;
-  r.expected_end = engine_.now() + j.walltime.scaled(r.dilation);
+  r.end = now() + actual;
+  r.expected_end = now() + j.walltime.scaled(r.dilation);
   timeline_.on_start(id, r.expected_end, r.take);
-  r.completion_event =
-      engine_.schedule_at(r.end, sim::EventClass::kCompletion,
-                          [this, id](SimTime) { handle_complete(id); });
+  r.completion_event = events_.push(r.end, {sim::EventClass::kCompletion, id});
   if (options_.sink != nullptr) {
     obs::JobStarted ev;
     ev.job = id;
@@ -716,7 +735,7 @@ void SchedulingSimulation::handle_complete(JobId id) {
   window_advance();
   digest_fold('C');
   digest_fold(id);
-  digest_fold(static_cast<std::uint64_t>(engine_.now().usec()));
+  digest_fold(static_cast<std::uint64_t>(now().usec()));
   ++window_acc_.jobs_finished;
 
   JobRuntime& r = rt_[id];
@@ -728,13 +747,13 @@ void SchedulingSimulation::handle_complete(JobId id) {
   running_.erase(rt_, id);
   r.state = JobState::kDone;
   --live_jobs_;
-  last_end_ = max(last_end_, engine_.now());
+  last_end_ = max(last_end_, now());
   if (source_ != nullptr) live_jobs_rec_.erase(id);
   if (options_.sink != nullptr) {
     obs::JobFinished ev;
     ev.job = id;
     ev.start = r.start;
-    ev.end = engine_.now();
+    ev.end = now();
     ev.rack = r.home_rack;
     ev.killed = r.killed;
     guarded_emit([&] { options_.sink->on_job_finished(ev); });
@@ -763,16 +782,14 @@ RunMetrics SchedulingSimulation::run() {
   refill_submissions();
   record_usage_change();
   if (options_.sample_interval > SimTime{0} && pulled_any_) {
-    engine_.schedule_at(first_submit_, sim::EventClass::kTimer,
-                        [this](SimTime) { sample_series(); });
+    events_.push(first_submit_, {sim::EventClass::kTimer, kInvalidJobId});
   }
   if (options_.migration.enabled() && pulled_any_) {
-    engine_.schedule_at(first_submit_ + options_.migration.check_interval,
-                        sim::EventClass::kMigration,
-                        [this](SimTime) { migration_check(); });
+    events_.push(first_submit_ + options_.migration.check_interval,
+                 {sim::EventClass::kMigration, kInvalidJobId});
   }
 
-  engine_.run();
+  while (!events_.empty()) dispatch(events_.pop());
   DMSCHED_ASSERT(source_dry_ && pending_submissions_ == 0,
                  "simulation drained with submissions outstanding");
   DMSCHED_ASSERT(live_jobs_ == 0, "simulation drained with live jobs");
@@ -848,7 +865,7 @@ RunMetrics SchedulingSimulation::run() {
 void SchedulingSimulation::fill_counters() {
   if (options_.counters == nullptr) return;
   obs::CounterRegistry& reg = *options_.counters;
-  reg.counter("events_processed").add(engine_.events_processed());
+  reg.counter("events_processed").add(events_.events_processed());
   reg.counter("sched_passes").add(pass_seq_);
   reg.counter("jobs_submitted").add(metrics_.jobs.size());
   std::uint64_t completed = 0;
@@ -882,7 +899,7 @@ void SchedulingSimulation::fill_counters() {
     reg.counter("sched_plans_attempted").add(stats->plans_attempted);
   }
   reg.gauge("event_id_window_peak")
-      .set(static_cast<double>(engine_.peak_id_window()));
+      .set(static_cast<double>(events_.peak_id_window()));
 }
 
 }  // namespace dmsched

@@ -18,7 +18,7 @@
 #include "sched/profile.hpp"
 #include "sched/queue_policy.hpp"
 #include "sched/scheduler.hpp"
-#include "sim/engine.hpp"
+#include "sim/event_queue.hpp"
 #include "workload/trace.hpp"
 #include "workload/trace_source.hpp"
 
@@ -126,22 +126,22 @@ class SchedulingSimulation final : public SchedContext {
   // --- instrumentation (valid after run()) ---------------------------------
   /// Total events the simulation processed.
   [[nodiscard]] std::size_t events_processed() const {
-    return engine_.events_processed();
+    return events_.events_processed();
   }
   /// Peak live event-id window of the underlying queue — the memory figure
   /// bounded submission look-ahead shrinks (see sim/event_queue.hpp).
   [[nodiscard]] std::size_t peak_event_id_window() const {
-    return engine_.peak_id_window();
+    return events_.peak_id_window();
   }
   // --- instrumentation (live — stable gauge accessors) ---------------------
   // The obs/ gauge stream and bench/sim_throughput's bounded-memory
   // criterion read the *same* accessors, so the numbers they report are the
   // same numbers by construction.
   /// Events currently pending in the underlying queue.
-  [[nodiscard]] std::size_t pending_events() const { return engine_.pending(); }
+  [[nodiscard]] std::size_t pending_events() const { return events_.size(); }
   /// Live event-id window of the underlying queue right now.
   [[nodiscard]] std::size_t live_event_id_window() const {
-    return engine_.id_window();
+    return events_.id_window();
   }
   /// Scheduler passes run so far.
   [[nodiscard]] std::uint64_t passes_run() const { return pass_seq_; }
@@ -218,16 +218,24 @@ class SchedulingSimulation final : public SchedContext {
                        std::unique_ptr<Scheduler> scheduler,
                        EngineOptions options);
 
+  /// Route one popped event to its handler: the whole event loop is
+  /// `while (!events_.empty()) dispatch(events_.pop());`. The tag is the
+  /// job id, or kInvalidJobId for the pass, sampling and migration-check
+  /// events, which concern no single job.
+  void dispatch(sim::Event ev);
   void handle_submit(JobId id);
   void handle_complete(JobId id);
   /// Periodic kMigration event: plan moves over the running list (insertion
   /// order — deterministic), dispatch each (delayed by the bandwidth knob or
-  /// applied in place), then self-reschedule while jobs are live.
+  /// applied in place), then self-reschedule while jobs are live. A delayed
+  /// move is a kMigration event tagged with its job; MigrationEngine holds
+  /// the decision until it lands.
   void migration_check();
-  /// Land one move: re-validate against the live ledger (the copy may have
-  /// raced a completion), retier the draws, and re-price the job's slowdown
-  /// — rescheduling its completion for the remaining work at the new rate.
-  void apply_migration(const MigrationDecision& decision, bool delayed);
+  /// Land one move on a running job: re-validate against the live ledger
+  /// (other jobs came and went while the copy was in flight), retier the
+  /// draws, and re-price the job's slowdown — rescheduling its completion
+  /// for the remaining work at the new rate.
+  void apply_migration(const MigrationDecision& decision);
   void request_schedule_pass();
   /// The body of a kSchedule event: runs the scheduler, and — only when a
   /// sink or counter registry is attached — wraps it with span/gauge
@@ -266,7 +274,8 @@ class SchedulingSimulation final : public SchedContext {
   std::unique_ptr<Scheduler> scheduler_;
   EngineOptions options_;
 
-  sim::Engine engine_;
+  /// The pending events and the simulation clock.
+  sim::EventQueue events_;
   Cluster cluster_;
   MigrationEngine migration_;
   Topology topology_;  ///< the machine's rack-scale memory model

@@ -1,6 +1,7 @@
 #include "migration/migration.hpp"
 
 #include <map>
+#include <unordered_set>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -18,6 +19,17 @@ const char* to_string(MigrationKind k) {
     case MigrationKind::kPromote: return "promote";
   }
   return "?";
+}
+
+void MigrationEngine::on_dispatch(const MigrationDecision& decision) {
+  const bool inserted = in_flight_.emplace(decision.job, decision).second;
+  DMSCHED_ASSERT(inserted, "on_dispatch: job already has a move in flight");
+}
+
+std::optional<MigrationDecision> MigrationEngine::land(JobId id) {
+  auto node = in_flight_.extract(id);
+  if (node.empty()) return std::nullopt;
+  return node.mapped();
 }
 
 std::vector<MigrationDecision> MigrationEngine::plan(

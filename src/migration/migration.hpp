@@ -18,7 +18,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -70,8 +71,10 @@ struct MigrationDecision {
 };
 
 /// The scanner: proposes moves from the cluster ledger. Stateless except
-/// for in-flight tracking (a job with a bandwidth-delayed move pending is
-/// skipped until the move lands, so moves never interleave per job).
+/// for in-flight tracking: a job with a bandwidth-delayed move pending is
+/// skipped until the move lands, so moves never interleave per job. The
+/// pending decision is held here until then, so the landing event only has
+/// to name the job.
 class MigrationEngine {
  public:
   MigrationEngine() = default;
@@ -86,9 +89,12 @@ class MigrationEngine {
   [[nodiscard]] std::vector<MigrationDecision> plan(
       const Cluster& cluster, const std::vector<JobId>& running) const;
 
-  /// Mark a job's move as dispatched / landed / abandoned.
-  void on_dispatch(JobId id) { in_flight_.insert(id); }
-  void on_applied(JobId id) { in_flight_.erase(id); }
+  /// Hold a delayed move until its copy lands; the job is in flight.
+  void on_dispatch(const MigrationDecision& decision);
+  /// The job's copy landed: hand back its decision and clear the slot.
+  /// Empty when the job finished first, which makes the move moot.
+  [[nodiscard]] std::optional<MigrationDecision> land(JobId id);
+  /// The job finished; a move still in flight for it is abandoned.
   void on_job_finished(JobId id) { in_flight_.erase(id); }
   [[nodiscard]] bool in_flight(JobId id) const {
     return in_flight_.contains(id);
@@ -96,7 +102,9 @@ class MigrationEngine {
 
  private:
   MigrationPolicy policy_;
-  std::unordered_set<JobId> in_flight_;
+  /// Lookup-only (never iterated), so the unordered container cannot
+  /// perturb determinism.
+  std::unordered_map<JobId, MigrationDecision> in_flight_;
 };
 
 /// The draw rewrite a decision implies, in canonical order (hosting-rack

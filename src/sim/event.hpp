@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 
 #include "common/time.hpp"
 
@@ -25,7 +25,15 @@ enum class EventClass : std::int8_t {
   kSchedule = 4,    ///< scheduling pass
 };
 
-/// Callback invoked when the event fires; receives the firing time.
-using EventFn = std::function<void(SimTime)>;
+/// A pending event as plain data: what happens, and to whom. The owner of
+/// the event loop gives the tag its meaning (the core engine stores a job
+/// id, or its invalid-id sentinel for events about no single job) and
+/// routes each popped event with one switch over the class. No callback
+/// travels with an event, so a queue of them can be copied or snapshotted.
+struct Event {
+  EventClass cls;
+  std::uint32_t tag;
+};
+static_assert(std::is_trivially_copyable_v<Event>);
 
 }  // namespace dmsched::sim

@@ -1,7 +1,6 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/assert.hpp"
 
@@ -9,26 +8,26 @@ namespace dmsched::sim {
 
 bool EventQueue::before(const Entry& a, const Entry& b) {
   if (a.time != b.time) return a.time < b.time;
-  if (a.cls != b.cls) return a.cls < b.cls;
-  return a.seq < b.seq;
+  if (a.ev.cls != b.ev.cls) return a.ev.cls < b.ev.cls;
+  return a.id < b.id;
 }
 
 void EventQueue::sift_up(std::size_t i) {
-  Entry e = std::move(heap_[i]);
+  const Entry e = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
     if (!before(e, heap_[parent])) break;
-    heap_[i] = std::move(heap_[parent]);
+    heap_[i] = heap_[parent];
     pos_[heap_[i].id - base_] = static_cast<std::uint32_t>(i);
     i = parent;
   }
-  heap_[i] = std::move(e);
+  heap_[i] = e;
   pos_[heap_[i].id - base_] = static_cast<std::uint32_t>(i);
 }
 
 void EventQueue::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
-  Entry e = std::move(heap_[i]);
+  const Entry e = heap_[i];
   for (;;) {
     const std::size_t first = kArity * i + 1;
     if (first >= n) break;
@@ -38,11 +37,11 @@ void EventQueue::sift_down(std::size_t i) {
       if (before(heap_[c], heap_[best])) best = c;
     }
     if (!before(heap_[best], e)) break;
-    heap_[i] = std::move(heap_[best]);
+    heap_[i] = heap_[best];
     pos_[heap_[i].id - base_] = static_cast<std::uint32_t>(i);
     i = best;
   }
-  heap_[i] = std::move(e);
+  heap_[i] = e;
   pos_[heap_[i].id - base_] = static_cast<std::uint32_t>(i);
 }
 
@@ -71,7 +70,7 @@ void EventQueue::remove_at(std::size_t i) {
     heap_.pop_back();
     return;
   }
-  heap_[i] = std::move(heap_[last]);
+  heap_[i] = heap_[last];
   heap_.pop_back();
   // The filled-in entry came from a leaf; it may belong above or below i.
   if (i > 0 && before(heap_[i], heap_[(i - 1) / kArity])) {
@@ -81,12 +80,13 @@ void EventQueue::remove_at(std::size_t i) {
   }
 }
 
-EventId EventQueue::push(SimTime time, EventClass cls, EventFn fn) {
+EventId EventQueue::push(SimTime time, Event ev) {
+  DMSCHED_ASSERT(time >= now_, "EventQueue::push: time travel into the past");
   DMSCHED_ASSERT(heap_.size() < kNotPending, "EventQueue: heap full");
   const EventId id = next_id_++;
   pos_.push_back(kNotPending);  // slot id - base_; set by sift_up below
   peak_id_window_ = std::max(peak_id_window_, pos_.size());
-  heap_.push_back({time, cls, next_seq_++, id, std::move(fn)});
+  heap_.push_back({time, id, ev});
   sift_up(heap_.size() - 1);
   return id;
 }
@@ -104,15 +104,13 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-SimTime EventQueue::next_time() const {
-  return heap_.empty() ? kTimeInfinity : heap_.front().time;
-}
-
-EventQueue::Fired EventQueue::pop() {
+Event EventQueue::pop() {
   DMSCHED_ASSERT(!empty(), "EventQueue::pop on empty queue");
-  Entry e = std::move(heap_.front());
+  const Entry e = heap_.front();
   remove_at(0);
-  return {e.id, e.time, e.cls, std::move(e.fn)};
+  now_ = e.time;
+  ++processed_;
+  return e.ev;
 }
 
 }  // namespace dmsched::sim

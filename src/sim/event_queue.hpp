@@ -1,5 +1,5 @@
-// Pending-event set: an indexed d-ary min-heap with a stable total order
-// and O(log n) cancellation.
+// Pending-event set and simulation clock: an indexed d-ary min-heap with a
+// stable total order and O(log n) cancellation.
 #pragma once
 
 #include <cstddef>
@@ -10,20 +10,25 @@
 
 namespace dmsched::sim {
 
-/// Min-heap of events ordered by (time, class, sequence number).
+/// Min-heap of events ordered by (time, class, id), plus the clock.
 ///
-/// The sequence number makes the order total and insertion-stable, which is
-/// what makes whole simulations bit-reproducible. The heap is *indexed*: a
-/// handle → heap-position map keeps every pending id addressable, so
-/// `cancel` removes its entry in O(log n) (no tombstones, no scans) and
-/// `next_time()` is the root in O(1). The arity is an internal layout
-/// choice — the comparator's total order fully determines pop order, so
-/// observable behaviour is identical at any d (see src/README.md,
-/// "Determinism is a contract").
+/// Ids are issued in push order, so the id makes the order total and
+/// insertion-stable, which is what makes whole simulations bit-reproducible.
+/// The heap is *indexed*: a handle → heap-position map keeps every pending
+/// id addressable, so `cancel` removes its entry in O(log n) (no tombstones,
+/// no scans). The arity is an internal layout choice — the comparator's
+/// total order fully determines pop order, so observable behaviour is
+/// identical at any d (see src/README.md, "Determinism is a contract").
+///
+/// The event loop is the caller's: `while (!q.empty()) dispatch(q.pop());`.
+/// `pop()` moves the clock to the popped event's time; handlers may push
+/// (at `now()` or later) and cancel freely, and same-time events pop in
+/// class-then-insertion order.
 class EventQueue {
  public:
-  /// Insert an event; returns its id (never kInvalidEventId).
-  EventId push(SimTime time, EventClass cls, EventFn fn);
+  /// Insert an event at `time` (must be >= now()); returns its id (never
+  /// kInvalidEventId).
+  EventId push(SimTime time, Event ev);
 
   /// Cancel a pending event. Returns false if it already fired or was
   /// already cancelled (ids are never reused, so a stale id stays false
@@ -33,17 +38,15 @@ class EventQueue {
   /// True when no live events remain.
   [[nodiscard]] bool empty() const { return heap_.empty(); }
 
-  /// Time of the earliest live event; kTimeInfinity when empty. O(1).
-  [[nodiscard]] SimTime next_time() const;
+  /// Pop the earliest live event and advance now() to its time. Requires
+  /// !empty().
+  Event pop();
 
-  /// Pop the earliest live event. Requires !empty().
-  struct Fired {
-    EventId id;
-    SimTime time;
-    EventClass cls;
-    EventFn fn;
-  };
-  Fired pop();
+  /// Time of the last popped event (zero before the first pop).
+  [[nodiscard]] SimTime now() const { return now_; }
+
+  /// Events popped over the queue's lifetime.
+  [[nodiscard]] std::size_t events_processed() const { return processed_; }
 
   /// Number of live (non-cancelled) events.
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
@@ -65,10 +68,8 @@ class EventQueue {
 
   struct Entry {
     SimTime time;
-    EventClass cls;
-    std::uint64_t seq;
     EventId id;
-    EventFn fn;
+    Event ev;
   };
   /// The total order: earlier entries compare true.
   static bool before(const Entry& a, const Entry& b);
@@ -98,8 +99,9 @@ class EventQueue {
   EventId base_ = 1;
   std::size_t dead_prefix_ = 0;
   std::size_t peak_id_window_ = 0;
-  std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
+  SimTime now_{};
+  std::size_t processed_ = 0;
 };
 
 }  // namespace dmsched::sim

@@ -4,7 +4,7 @@
 // thread-count invariance — and the default 0-sentinel policy must be a
 // *byte-identical* no-op, not merely a quiet one. Migration events carry
 // their own class (kMigration, after kCompletion at the same timestamp), so
-// the (time, class, seq) order — and with it the semantic digest — is a
+// the (time, class, id) order — and with it the semantic digest — is a
 // pure function of the inputs.
 #include <gtest/gtest.h>
 
@@ -150,8 +150,41 @@ TEST(MigrationDeterminism, DefaultPolicyIsAByteIdenticalNoOp) {
   EXPECT_EQ(a.digest, b.digest);
 }
 
+TEST(MigrationDeterminism, MovesThatOutlastTheirJobLandMoot) {
+  // A copy so slow that every job finishes before its move lands: the
+  // landing finds the job gone and must change nothing. The run equals the
+  // migration-off run in every bit, while the scans and landings still ran.
+  const Scenario s = make_scenario("shared-neighbors", small_params());
+  EngineOptions off;
+  off.placement = make_placement(PlacementStrategy::kSharedNeighbors);
+  EngineOptions slow = migration_options();
+  slow.migration.bandwidth_gibps = 1e-9;  // ~32 years per GiB
+
+  // Non-vacuous: with instantaneous copies these knobs do move bytes.
+  EngineOptions instant = migration_options();
+  instant.migration.bandwidth_gibps = 0.0;
+  const RunResult moved = run_eager(s, instant);
+  ASSERT_GT(moved.metrics.demotions + moved.metrics.promotions, 0u);
+
+  SchedulingSimulation base(s.cluster, s.trace,
+                            make_scheduler(SchedulerKind::kMemAwareEasy, {}),
+                            off);
+  const RunMetrics base_metrics = base.run();
+  SchedulingSimulation moot(s.cluster, s.trace,
+                            make_scheduler(SchedulerKind::kMemAwareEasy, {}),
+                            slow);
+  const RunMetrics moot_metrics = moot.run();
+
+  EXPECT_EQ(moot_metrics.demotions + moot_metrics.promotions, 0u);
+  expect_identical(base_metrics, moot_metrics);
+  EXPECT_EQ(base.event_digest(), moot.event_digest());
+  // The checks fired, and the last landing popped after every job ended.
+  EXPECT_GT(moot.events_processed(), base.events_processed());
+  EXPECT_GT(moot.now(), moot_metrics.makespan);
+}
+
 TEST(MigrationDeterminism, MigrationEventsAreOrderedAndPassive) {
-  // The recorded move stream is time-ordered (the (time, class, seq) queue
+  // The recorded move stream is time-ordered (the (time, class, id) queue
   // order), every move re-prices the job, and *observing* the moves is
   // passive: attaching the sink changes no bit of the run.
   const Scenario s = make_scenario("shared-neighbors", small_params());

@@ -202,16 +202,27 @@ TEST(MigrationPlan, InFlightJobsAreSkipped) {
   c.commit(alloc_of(0, {0}, gib(std::int64_t{64}), gib(std::int64_t{90}),
                     {{0, gib(std::int64_t{90})}}));
   MigrationEngine engine{active_policy()};
-  engine.on_dispatch(0);
+  const MigrationDecision move{0, MigrationKind::kDemote, 0, false,
+                               gib(std::int64_t{10})};
+  engine.on_dispatch(move);
   EXPECT_TRUE(engine.in_flight(0));
   EXPECT_TRUE(engine.plan(c, {0}).empty());
-  engine.on_applied(0);
+  // Landing hands back exactly the decision that was dispatched, once.
+  const auto landed = engine.land(0);
+  ASSERT_TRUE(landed.has_value());
+  EXPECT_EQ(landed->job, move.job);
+  EXPECT_EQ(landed->kind, move.kind);
+  EXPECT_EQ(landed->rack, move.rack);
+  EXPECT_EQ(landed->neighbor, move.neighbor);
+  EXPECT_EQ(landed->bytes, move.bytes);
   EXPECT_FALSE(engine.in_flight(0));
+  EXPECT_FALSE(engine.land(0).has_value());
   EXPECT_EQ(engine.plan(c, {0}).size(), 1u);
-  // A finish also clears the slot (the delayed move finds the job gone).
-  engine.on_dispatch(0);
+  // A finish also clears the slot: the move lands moot.
+  engine.on_dispatch(move);
   engine.on_job_finished(0);
   EXPECT_FALSE(engine.in_flight(0));
+  EXPECT_FALSE(engine.land(0).has_value());
 }
 
 // --- rewrite_draws ----------------------------------------------------------
