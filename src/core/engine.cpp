@@ -98,23 +98,24 @@ SchedulingSimulation::SchedulingSimulation(ClusterConfig config,
                                            const Trace& trace,
                                            std::unique_ptr<Scheduler> scheduler,
                                            EngineOptions options)
-    : SchedulingSimulation(std::move(config), &trace, nullptr,
+    : SchedulingSimulation(std::move(config),
+                           std::make_unique<EagerTraceSource>(trace),
                            std::move(scheduler), options) {}
+
+SchedulingSimulation::SchedulingSimulation(ClusterConfig config,
+                                           std::unique_ptr<TraceSource> owned,
+                                           std::unique_ptr<Scheduler> scheduler,
+                                           EngineOptions options)
+    : SchedulingSimulation(std::move(config), *owned, std::move(scheduler),
+                           options) {
+  owned_source_ = std::move(owned);
+}
 
 SchedulingSimulation::SchedulingSimulation(ClusterConfig config,
                                            TraceSource& source,
                                            std::unique_ptr<Scheduler> scheduler,
                                            EngineOptions options)
-    : SchedulingSimulation(std::move(config), nullptr, &source,
-                           std::move(scheduler), options) {}
-
-SchedulingSimulation::SchedulingSimulation(ClusterConfig config,
-                                           const Trace* trace,
-                                           TraceSource* source,
-                                           std::unique_ptr<Scheduler> scheduler,
-                                           EngineOptions options)
     : config_(std::move(config)),
-      trace_(trace),
       source_(source),
       scheduler_(std::move(scheduler)),
       options_(options),
@@ -123,12 +124,9 @@ SchedulingSimulation::SchedulingSimulation(ClusterConfig config,
       topology_(config_),
       timeline_(config_) {
   DMSCHED_ASSERT(scheduler_ != nullptr, "simulation needs a scheduler");
-  DMSCHED_ASSERT((trace_ != nullptr) != (source_ != nullptr),
-                 "simulation needs exactly one job input");
   // Per-job bookkeeping (rt_, outcome records) grows with pulls; reserving
-  // from the known/advisory size avoids reallocation churn, nothing more.
-  const std::size_t expect =
-      trace_ ? trace_->size() : source_->size_hint().value_or(0);
+  // from the advisory size avoids reallocation churn, nothing more.
+  const std::size_t expect = source_.size_hint().value_or(0);
   rt_.reserve(expect);
   metrics_.jobs.reserve(expect);
   metrics_.label = std::string(scheduler_->name()) + "/" + config_.name;
@@ -139,11 +137,10 @@ SimTime SchedulingSimulation::now() const { return events_.now(); }
 const Cluster& SchedulingSimulation::cluster() const { return cluster_; }
 
 const Job& SchedulingSimulation::job(JobId id) const {
-  if (trace_ != nullptr) return trace_->job(id);
-  const auto it = live_jobs_rec_.find(id);
-  DMSCHED_ASSERT(it != live_jobs_rec_.end(),
-                 "job(): not a live job (streaming runs drop terminal jobs)");
-  return it->second;
+  DMSCHED_ASSERT(
+      id >= rec_base_ && id < next_pull_id_ && !terminal(rt_[id].state),
+      "job(): not a live job (terminal jobs' records are dropped)");
+  return recs_[id - rec_base_];
 }
 
 std::vector<JobId> SchedulingSimulation::queued_jobs() const {
@@ -152,13 +149,9 @@ std::vector<JobId> SchedulingSimulation::queued_jobs() const {
   // other order is a total order with an id tie-break, so sorting the copy
   // gives the same result whatever order it started in.
   if (options_.queue_order == QueueOrder::kFcfs) return ids;
-  if (trace_ != nullptr) {
-    order_queue(ids, trace_->jobs(), options_.queue_order, now());
-  } else {
-    order_queue(
-        ids, [this](JobId id) -> const Job& { return job(id); },
-        options_.queue_order, now());
-  }
+  order_queue(
+      ids, [this](JobId id) -> const Job& { return job(id); },
+      options_.queue_order, now());
   return ids;
 }
 
@@ -361,23 +354,14 @@ void SchedulingSimulation::apply_migration(const MigrationDecision& decision) {
 }
 
 bool SchedulingSimulation::pull_one() {
-  Job j;
-  if (trace_ != nullptr) {
-    if (next_pull_ >= trace_->size()) {
-      source_dry_ = true;
-      return false;
-    }
-    j = trace_->jobs()[next_pull_++];
-  } else {
-    std::optional<Job> next = source_->next();
-    if (!next.has_value()) {
-      source_dry_ = true;
-      return false;
-    }
-    j = *std::move(next);
+  std::optional<Job> next = source_.next();
+  if (!next.has_value()) {
+    source_dry_ = true;
+    return false;
   }
-  // Trace::make enforces these for the eager path; sources are arbitrary
-  // code, so re-check at the boundary.
+  Job& j = *next;
+  // Trace::make enforces these for a materialized trace; sources are
+  // arbitrary code, so re-check at the boundary.
   DMSCHED_ASSERT(j.nodes > 0, "pulled job requests no nodes");
   DMSCHED_ASSERT(j.runtime > SimTime{0}, "pulled job has no runtime");
   DMSCHED_ASSERT(j.walltime >= j.runtime, "pulled job walltime < runtime");
@@ -410,11 +394,29 @@ bool SchedulingSimulation::pull_one() {
   metrics_.jobs.push_back(o);
 
   const SimTime submit = j.submit;
-  if (source_ != nullptr) live_jobs_rec_.emplace(id, std::move(j));
+  recs_.push_back(std::move(j));
   ++live_jobs_;
   ++pending_submissions_;
   events_.push(submit, {sim::EventClass::kSubmission, id});
   return true;
+}
+
+void SchedulingSimulation::drop_dead_records() {
+  // Advance past the dead prefix. Each record is visited at most once after
+  // its job turns terminal, so the scan is amortized O(1) per job.
+  while (rec_dead_ < recs_.size() &&
+         terminal(rt_[rec_base_ + rec_dead_].state)) {
+    ++rec_dead_;
+  }
+  // Physically drop the dead prefix once it dominates the vector (amortized
+  // O(1): each compaction moves at most as many records as died since the
+  // last one).
+  if (rec_dead_ > 64 && rec_dead_ > recs_.size() / 2) {
+    recs_.erase(recs_.begin(),
+                recs_.begin() + static_cast<std::ptrdiff_t>(rec_dead_));
+    rec_base_ += static_cast<JobId>(rec_dead_);
+    rec_dead_ = 0;
+  }
 }
 
 void SchedulingSimulation::refill_submissions() {
@@ -647,7 +649,7 @@ void SchedulingSimulation::handle_submit(JobId id) {
       ev.at = now();
       guarded_emit([&] { options_.sink->on_job_rejected(ev); });
     }
-    if (source_ != nullptr) live_jobs_rec_.erase(id);  // after last use of j
+    drop_dead_records();  // after the last use of j
     return;
   }
   r.state = JobState::kQueued;
@@ -748,7 +750,7 @@ void SchedulingSimulation::handle_complete(JobId id) {
   r.state = JobState::kDone;
   --live_jobs_;
   last_end_ = max(last_end_, now());
-  if (source_ != nullptr) live_jobs_rec_.erase(id);
+  drop_dead_records();
   if (options_.sink != nullptr) {
     obs::JobFinished ev;
     ev.job = id;
@@ -795,8 +797,6 @@ RunMetrics SchedulingSimulation::run() {
   DMSCHED_ASSERT(live_jobs_ == 0, "simulation drained with live jobs");
   DMSCHED_ASSERT(queue_.empty() && running_.empty(),
                  "simulation drained with queued/running jobs");
-  DMSCHED_ASSERT(source_ == nullptr || live_jobs_rec_.empty(),
-                 "streaming run leaked live job records");
   cluster_.audit();
   flush_final_window();
 

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -72,13 +71,14 @@ struct EngineOptions {
 
 /// One simulation run. Create, call run(), read the metrics.
 ///
-/// Jobs come from either an in-memory Trace (held by reference — traces are
-/// shared across many runs in sweeps and must outlive the simulation) or a
-/// pull-based TraceSource (also by reference, single-use). Both paths feed
-/// the identical event machinery: with the same jobs and options the two
-/// produce byte-identical RunMetrics. Source mode additionally keeps only
-/// live job records in memory, so combined with a bounded
-/// `submit_lookahead` the per-event state is O(live jobs), not O(trace).
+/// Jobs come from one pull-based TraceSource (held by reference,
+/// single-use). The Trace constructor is an adapter: the simulation owns an
+/// EagerTraceSource over the trace (held by reference — traces are shared
+/// across many runs in sweeps and must outlive the simulation), so with the
+/// same jobs and options both constructors run the same code and produce
+/// byte-identical RunMetrics. Job records are kept only while live: combined
+/// with a bounded `submit_lookahead` the per-event state is O(live jobs),
+/// not O(trace).
 ///
 /// Lifecycle semantics (DESIGN.md §4):
 ///  - submissions enter the queue unless the job can never fit the machine
@@ -88,13 +88,15 @@ struct EngineOptions {
 ///  - planning bounds (`RunningJob::expected_end`) use walltime × dilation.
 class SchedulingSimulation final : public SchedContext {
  public:
+  /// Runs on an owned EagerTraceSource over `trace`, which must outlive
+  /// the simulation.
   SchedulingSimulation(ClusterConfig config, const Trace& trace,
                        std::unique_ptr<Scheduler> scheduler,
                        EngineOptions options);
 
-  /// Streaming variant: jobs are pulled from `source` on demand. The source
-  /// must outlive the simulation. Job ids are assigned in pull order
-  /// (0, 1, 2, ...) regardless of the ids the source reports.
+  /// Jobs are pulled from `source` on demand. The source must outlive the
+  /// simulation. Job ids are assigned in pull order (0, 1, 2, ...)
+  /// regardless of the ids the source reports.
   SchedulingSimulation(ClusterConfig config, TraceSource& source,
                        std::unique_ptr<Scheduler> scheduler,
                        EngineOptions options);
@@ -160,6 +162,9 @@ class SchedulingSimulation final : public SchedContext {
     kDone,      ///< completed or killed
     kRejected,  ///< can never fit this machine
   };
+  static bool terminal(JobState s) {
+    return s == JobState::kDone || s == JobState::kRejected;
+  }
   /// Which intrusive job list (if any) a job is linked into. The slot makes
   /// running-list removal a *checked* O(1) unlink: erase asserts the job is
   /// a member of the list it is being removed from instead of trusting a
@@ -212,9 +217,9 @@ class SchedulingSimulation final : public SchedContext {
         const std::vector<JobRuntime>& rt) const;
   };
 
-  /// Delegated ctor: exactly one of trace/source is non-null.
-  SchedulingSimulation(ClusterConfig config, const Trace* trace,
-                       TraceSource* source,
+  /// The Trace constructor's target: runs on `*owned`, then keeps it.
+  SchedulingSimulation(ClusterConfig config,
+                       std::unique_ptr<TraceSource> owned,
                        std::unique_ptr<Scheduler> scheduler,
                        EngineOptions options);
 
@@ -246,10 +251,13 @@ class SchedulingSimulation final : public SchedContext {
   void record_usage_change();
   void sample_series();
 
-  /// Pull the next job from the trace/source, validate it, assign the next
+  /// Pull the next job from the source, validate it, assign the next
   /// sequential id, and schedule its submission event. False when the input
   /// is exhausted.
   bool pull_one();
+  /// A job just turned terminal: advance the records' dead prefix and
+  /// compact it away once it dominates the window.
+  void drop_dead_records();
   /// Top up pending submission events to the look-ahead window (all of them
   /// when the window is unbounded).
   void refill_submissions();
@@ -269,8 +277,9 @@ class SchedulingSimulation final : public SchedContext {
   void flush_final_window();
 
   ClusterConfig config_;
-  const Trace* trace_ = nullptr;     ///< eager mode (exactly one of these
-  TraceSource* source_ = nullptr;    ///< streaming mode    two is set)
+  TraceSource& source_;
+  /// The Trace constructor's EagerTraceSource (source_); null otherwise.
+  std::unique_ptr<TraceSource> owned_source_;
   std::unique_ptr<Scheduler> scheduler_;
   EngineOptions options_;
 
@@ -292,7 +301,7 @@ class SchedulingSimulation final : public SchedContext {
   /// binary search.
   std::vector<JobId> queue_;
   /// Submit time of the last queue append — the other half of the append
-  /// order check (streamed runs drop terminal jobs' records).
+  /// order check (terminal jobs' records are dropped).
   SimTime last_enqueue_submit_{};
   JobList running_{.id = JobListId::kRunning};  // running, insertion order
   std::size_t live_jobs_ = 0;   // not yet terminal
@@ -315,17 +324,23 @@ class SchedulingSimulation final : public SchedContext {
   GaugeRefs gauges_;
 
   // --- lazy submission state ----------------------------------------------
-  std::size_t next_pull_ = 0;       ///< trace mode: next trace index
   JobId next_pull_id_ = 0;          ///< ids are assigned in pull order
   SimTime last_pull_submit_{};      ///< monotonicity check across pulls
   bool pulled_any_ = false;
   bool source_dry_ = false;         ///< input exhausted
   std::size_t pending_submissions_ = 0;  ///< scheduled but un-fired
   SimTime first_submit_{};          ///< first pulled job's submit time
-  /// Source mode only: records of jobs not yet terminal, erased on
-  /// completion/rejection so memory is O(live jobs). Lookup-only (never
-  /// iterated), so the unordered container cannot perturb determinism.
-  std::unordered_map<JobId, Job> live_jobs_rec_;
+  /// Job records over the pulled id window [rec_base_, next_pull_id_):
+  /// job `id` is recs_[id - rec_base_]. The first rec_dead_ are terminal
+  /// and are dropped in bulk, mirroring EventQueue::clear_slot, so memory
+  /// is O(live id window). push_back and the compaction both move records:
+  /// pulls happen only where run() primes the window and at the top of
+  /// handle_submit, before any job() call; compaction runs only at the end
+  /// of the completion and rejection handlers. No pass pulls or compacts,
+  /// so a reference from job() stays valid for the whole pass.
+  std::vector<Job> recs_;
+  JobId rec_base_ = 0;
+  std::size_t rec_dead_ = 0;
   std::uint64_t digest_ = 1469598103934665603ULL;  ///< FNV-1a offset basis
 
   // --- windowed checkpoints -------------------------------------------------

@@ -17,16 +17,12 @@ const char* to_string(QueueOrder order) {
   return "?";
 }
 
-namespace {
-
-/// The one ordering implementation; `get` resolves JobId -> const Job&.
-/// Both public overloads funnel here so they cannot drift apart.
-template <typename Get>
-void order_queue_impl(std::vector<JobId>& ids, const Get& get,
-                      QueueOrder order, SimTime now) {
+void order_queue(std::vector<JobId>& ids, const JobLookup& lookup,
+                 QueueOrder order, SimTime now) {
+  DMSCHED_ASSERT(lookup != nullptr, "order_queue: null job lookup");
   auto tie = [&](JobId a, JobId b) {
-    const Job& ja = get(a);
-    const Job& jb = get(b);
+    const Job& ja = lookup(a);
+    const Job& jb = lookup(b);
     if (ja.submit != jb.submit) return ja.submit < jb.submit;
     return a < b;
   };
@@ -36,23 +32,23 @@ void order_queue_impl(std::vector<JobId>& ids, const Get& get,
       break;
     case QueueOrder::kShortestFirst:
       std::sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
-        if (get(a).walltime != get(b).walltime) {
-          return get(a).walltime < get(b).walltime;
+        if (lookup(a).walltime != lookup(b).walltime) {
+          return lookup(a).walltime < lookup(b).walltime;
         }
         return tie(a, b);
       });
       break;
     case QueueOrder::kLargestFirst:
       std::sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
-        if (get(a).nodes != get(b).nodes) {
-          return get(a).nodes > get(b).nodes;
+        if (lookup(a).nodes != lookup(b).nodes) {
+          return lookup(a).nodes > lookup(b).nodes;
         }
         return tie(a, b);
       });
       break;
     case QueueOrder::kWfp: {
       auto score = [&](JobId id) {
-        const Job& j = get(id);
+        const Job& j = lookup(id);
         const double wait = (now - j.submit).seconds();
         const double wall = std::max(j.walltime.seconds(), 1.0);
         const double r = wait / wall;
@@ -67,20 +63,6 @@ void order_queue_impl(std::vector<JobId>& ids, const Get& get,
       break;
     }
   }
-}
-
-}  // namespace
-
-void order_queue(std::vector<JobId>& ids, const std::vector<Job>& jobs,
-                 QueueOrder order, SimTime now) {
-  order_queue_impl(
-      ids, [&](JobId id) -> const Job& { return jobs[id]; }, order, now);
-}
-
-void order_queue(std::vector<JobId>& ids, const JobLookup& lookup,
-                 QueueOrder order, SimTime now) {
-  DMSCHED_ASSERT(lookup != nullptr, "order_queue: null job lookup");
-  order_queue_impl(ids, lookup, order, now);
 }
 
 }  // namespace dmsched

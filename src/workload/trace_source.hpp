@@ -68,28 +68,6 @@ class EagerTraceSource final : public TraceSource {
   std::size_t next_ = 0;
 };
 
-/// An eager source that owns its trace (scenario streams whose workload has
-/// no streaming construction).
-class OwningTraceSource final : public TraceSource {
- public:
-  explicit OwningTraceSource(Trace trace) : trace_(std::move(trace)) {}
-
-  [[nodiscard]] const std::string& name() const override {
-    return trace_.name();
-  }
-  std::optional<Job> next() override {
-    if (next_ >= trace_.size()) return std::nullopt;
-    return trace_.jobs()[next_++];
-  }
-  [[nodiscard]] std::optional<std::size_t> size_hint() const override {
-    return trace_.size();
-  }
-
- private:
-  Trace trace_;
-  std::size_t next_ = 0;
-};
-
 /// A source backed by a generator callback (synthetic workloads, tiled
 /// replays). The generator owns all its state; this class only enforces the
 /// submit-order contract — a generator yielding a decreasing submit time is

@@ -218,8 +218,8 @@ TEST(TraceSourceDifferential, StreamMatchesEagerOnTheSwfReplay) {
 }
 
 TEST(TraceSourceDifferential, TraceModeLookaheadIsAlsoByteIdentical) {
-  // The lazy pull applies to the eager Trace ctor too (trace mode just
-  // pulls by index): a bounded window must not perturb it either.
+  // The lazy pull applies to the Trace ctor too (it pulls through an
+  // EagerTraceSource): a bounded window must not perturb it either.
   const Scenario s = make_scenario("memory-stressed", small_params("memory-stressed"));
   const RunResult unbounded = run_eager(s, SchedulerKind::kMemAwareEasy, 0);
   for (const std::size_t w : {std::size_t{1}, std::size_t{5}}) {
@@ -233,7 +233,7 @@ TEST(TraceSourceDifferential, TraceModeLookaheadIsAlsoByteIdentical) {
 TEST(TraceSourceDifferential, RejectionsAgreeAcrossModes) {
   using testing::job;
   // One job that can never fit (17 nodes on a 16-node machine) among
-  // runnable ones: the rejection path erases live records in source mode.
+  // runnable ones: the rejection path drops the job's record.
   const Trace t = testing::trace_of(
       {job(0).at_h(0.0).nodes(4).mem_gib(8).runtime_h(1.0),
        job(1).at_h(0.5).nodes(17).mem_gib(8).runtime_h(1.0),
@@ -402,18 +402,6 @@ TEST(MappedSource, ReorderingRewriteThrows) {
   });
   EXPECT_TRUE(mapped.next().has_value());
   EXPECT_THROW(mapped.next(), std::logic_error);
-}
-
-TEST(OwningSource, ServesItsTraceOnce) {
-  using testing::job;
-  OwningTraceSource source(testing::trace_of(
-      {job(0).at_h(0.0).runtime_h(1.0), job(1).at_h(1.0).runtime_h(1.0)},
-      "owned"));
-  EXPECT_EQ(source.name(), "owned");
-  EXPECT_EQ(source.size_hint(), std::optional<std::size_t>{2});
-  EXPECT_TRUE(source.next().has_value());
-  EXPECT_TRUE(source.next().has_value());
-  EXPECT_FALSE(source.next().has_value());
 }
 
 }  // namespace

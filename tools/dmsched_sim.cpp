@@ -282,8 +282,21 @@ int main(int argc, char** argv) {
                  "scenarios have streaming workload sources)\n");
     return 1;
   }
-  if (cli.get_int("lookahead") < 0) {
-    std::fprintf(stderr, "error: --lookahead must be >= 0\n");
+  // Out-of-range knobs fail loudly instead of casting to a huge size or
+  // silently switching a feature off.
+  for (const char* flag : {"jobs", "lookahead", "sample-interval-min",
+                           "checkpoint-interval-min", "migrate-interval-min"}) {
+    if (cli.get_int(flag) < 0) {
+      std::fprintf(stderr, "error: --%s must be >= 0\n", flag);
+      return 1;
+    }
+  }
+  if (cli.get_int("reservation-depth") < 1) {
+    std::fprintf(stderr, "error: --reservation-depth must be >= 1\n");
+    return 1;
+  }
+  if (!(cli.get_double("migrate-gibps") >= 0.0)) {
+    std::fprintf(stderr, "error: --migrate-gibps must be >= 0\n");
     return 1;
   }
 
@@ -296,9 +309,8 @@ int main(int argc, char** argv) {
                    "(a scenario brings its own workload)\n");
       return 1;
     }
-    if (cli.get_int("jobs") < 0 || cli.get_int("seed") < 0 ||
-        cli.get_double("load") < 0.0) {
-      std::fprintf(stderr, "error: --jobs/--seed/--load must be >= 0\n");
+    if (cli.get_int("seed") < 0 || cli.get_double("load") < 0.0) {
+      std::fprintf(stderr, "error: --seed/--load must be >= 0\n");
       return 1;
     }
     ScenarioParams params;
