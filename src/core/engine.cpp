@@ -191,19 +191,15 @@ bool SchedulingSimulation::queue_order_stable() const {
 }
 
 std::uint64_t SchedulingSimulation::queue_tail_epoch() const {
-  return queue_appends_.size();
+  return queue_tail_epoch_;
 }
 
 std::vector<JobId> SchedulingSimulation::queued_jobs_after(
     std::uint64_t epoch) const {
-  DMSCHED_ASSERT(epoch <= queue_appends_.size(),
+  DMSCHED_ASSERT(epoch <= queue_tail_epoch_,
                  "queued_jobs_after: epoch from the future");
-  std::vector<JobId> out;
-  for (std::size_t i = epoch; i < queue_appends_.size(); ++i) {
-    const JobId id = queue_appends_[i];
-    if (rt_[id].state == JobState::kQueued) out.push_back(id);
-  }
-  return out;
+  return {std::lower_bound(queue_.begin(), queue_.end(), epoch),
+          queue_.end()};
 }
 
 TakePlan SchedulingSimulation::take_from_allocation(const Allocation& alloc,
@@ -440,15 +436,17 @@ void SchedulingSimulation::window_integrate(SimTime from, SimTime to) {
 }
 
 void SchedulingSimulation::window_advance() {
+  // State is integrated with pre-mutation values, which is why every handler
+  // calls this first.
+  close_windows_through(events_.now());
+}
+
+void SchedulingSimulation::close_windows_through(SimTime t) {
   const SimTime w = options_.checkpoint_interval;
   if (w <= SimTime{0}) return;
-  const SimTime now = events_.now();
-  // Close every window whose boundary the clock has reached. State is
-  // integrated with pre-mutation values, which is why every handler calls
-  // this first.
   for (;;) {
     const SimTime boundary{(window_index_ + 1) * w.usec()};
-    if (boundary > now) break;
+    if (boundary > t) break;
     window_integrate(window_frontier_, boundary);
     window_acc_.start = SimTime{window_index_ * w.usec()};
     window_acc_.end = boundary;
@@ -457,27 +455,15 @@ void SchedulingSimulation::window_advance() {
     window_frontier_ = boundary;
     ++window_index_;
   }
-  window_integrate(window_frontier_, now);
-  window_frontier_ = now;
+  window_integrate(window_frontier_, t);
+  window_frontier_ = t;
 }
 
 void SchedulingSimulation::flush_final_window() {
   const SimTime w = options_.checkpoint_interval;
   if (w <= SimTime{0}) return;
   const SimTime end = max(last_end_, window_frontier_);
-  for (;;) {
-    const SimTime boundary{(window_index_ + 1) * w.usec()};
-    if (boundary > end) break;
-    window_integrate(window_frontier_, boundary);
-    window_acc_.start = SimTime{window_index_ * w.usec()};
-    window_acc_.end = boundary;
-    metrics_.windows.push_back(window_acc_);
-    window_acc_ = MetricsWindow{};
-    window_frontier_ = boundary;
-    ++window_index_;
-  }
-  window_integrate(window_frontier_, end);
-  window_frontier_ = end;
+  close_windows_through(end);
   // The trailing partial window is emitted only if it has any content —
   // a run that ends exactly on a boundary produces no empty extra window.
   const SimTime start{window_index_ * w.usec()};
@@ -656,13 +642,13 @@ void SchedulingSimulation::handle_submit(JobId id) {
   // Submissions fire in (submit, pull seq) order and ids are assigned in
   // pull order, so appends arrive in (submit, id) order with rising ids:
   // the queue stays id-sorted and FCFS-ordered without a sort.
-  DMSCHED_ASSERT(queue_appends_.empty() ||
+  DMSCHED_ASSERT(queue_tail_epoch_ == 0 ||
                      (j.submit >= last_enqueue_submit_ &&
-                      id > queue_appends_.back()),
+                      id >= queue_tail_epoch_),
                  "queue append out of (submit, id) order");
   last_enqueue_submit_ = j.submit;
+  queue_tail_epoch_ = std::uint64_t{id} + 1;
   queue_.push_back(id);
-  queue_appends_.push_back(id);
   if (options_.sink != nullptr) {
     obs::JobQueued ev;
     ev.job = id;

@@ -270,9 +270,11 @@ class SchedulingSimulation final : public SchedContext {
   // Windowed checkpoints (all no-ops when checkpoint_interval is 0):
   /// Integrate current system state over [from, to) into the open window.
   void window_integrate(SimTime from, SimTime to);
-  /// Emit every window whose boundary is <= now, then integrate up to now.
-  /// Must run before any state mutation at the current timestamp.
+  /// close_windows_through(now). Must run before any state mutation at the
+  /// current timestamp.
   void window_advance();
+  /// Emit every window whose boundary is <= t, then integrate up to t.
+  void close_windows_through(SimTime t);
   /// After the run: emit remaining complete windows and the final partial.
   void flush_final_window();
 
@@ -291,15 +293,17 @@ class SchedulingSimulation final : public SchedContext {
   /// Persistent availability view, updated push-style on start/finish —
   /// the structure incremental scheduler passes key their caches on.
   AvailabilityTimeline timeline_;
-  /// Lifetime log of queue appends (never shrinks); its size is the queue
-  /// tail epoch, and suffixes of it answer queued_jobs_after.
-  std::vector<JobId> queue_appends_;
   std::vector<JobRuntime> rt_;
   /// Waiting jobs, dense and in id order. Appends arrive in (submit, id)
   /// order (asserted in handle_submit), so this is already the FCFS order:
   /// queued_jobs() copies it without sorting, and start_job removes by
   /// binary search.
   std::vector<JobId> queue_;
+  /// One past the last appended id (0 before the first append): the queue
+  /// tail epoch. Appends arrive in rising id order, so the jobs appended at
+  /// or after epoch E are exactly the ids >= E, and queued_jobs_after is a
+  /// suffix of queue_.
+  std::uint64_t queue_tail_epoch_ = 0;
   /// Submit time of the last queue append — the other half of the append
   /// order check (terminal jobs' records are dropped).
   SimTime last_enqueue_submit_{};

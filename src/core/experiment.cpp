@@ -29,13 +29,18 @@ RunMetrics run_experiment(const ExperimentConfig& config, TraceSource& source) {
   return metrics;
 }
 
-ExperimentConfig scenario_experiment(const Scenario& scenario,
-                                     SchedulerKind kind) {
+namespace {
+
+/// The one body of both scenario_experiment overloads: Scenario and
+/// ScenarioStream share every field it reads; only the job count differs.
+template <class Built>
+ExperimentConfig experiment_on(const Built& scenario, SchedulerKind kind,
+                               std::size_t jobs) {
   ExperimentConfig c;
   c.label = scenario.info.name + "/" + to_string(kind);
   c.cluster = scenario.cluster;
   c.scheduler = kind;
-  c.jobs = scenario.trace.size();
+  c.jobs = jobs;
   c.workload_reference_mem = scenario.workload_reference_mem;
   // Scenarios carry the resolved remote-penalty multiplier (they sit below
   // memory/ and cannot name SlowdownModel); 1.0 is a bit-identical no-op.
@@ -44,23 +49,22 @@ ExperimentConfig scenario_experiment(const Scenario& scenario,
   return c;
 }
 
+}  // namespace
+
+ExperimentConfig scenario_experiment(const Scenario& scenario,
+                                     SchedulerKind kind) {
+  return experiment_on(scenario, kind, scenario.trace.size());
+}
+
 RunMetrics run_scenario(const Scenario& scenario, SchedulerKind kind) {
   return run_experiment(scenario_experiment(scenario, kind), scenario.trace);
 }
 
 ExperimentConfig scenario_experiment(const ScenarioStream& stream,
                                      SchedulerKind kind) {
-  ExperimentConfig c;
-  c.label = stream.info.name + "/" + to_string(kind);
-  c.cluster = stream.cluster;
-  c.scheduler = kind;
-  c.jobs = stream.source != nullptr
-               ? stream.source->size_hint().value_or(0)
-               : 0;
-  c.workload_reference_mem = stream.workload_reference_mem;
-  c.engine.slowdown =
-      c.engine.slowdown.with_remote_penalty(stream.remote_penalty);
-  return c;
+  return experiment_on(
+      stream, kind,
+      stream.source != nullptr ? stream.source->size_hint().value_or(0) : 0);
 }
 
 RunMetrics run_scenario(ScenarioStream& stream, SchedulerKind kind) {

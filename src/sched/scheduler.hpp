@@ -75,9 +75,10 @@ class SchedContext {
   /// incremental queue suffixes are meaningless there.
   [[nodiscard]] virtual bool queue_order_stable() const { return false; }
 
-  /// Monotone counter of lifetime queue appends (not current length —
-  /// starts do not decrease it). Epoch E captured after a pass means that
-  /// pass saw every job appended before E.
+  /// Monotone, opaque marker of the queue's append tail (starts do not
+  /// move it back). Epoch E captured after a pass means that pass saw every
+  /// job appended before E; schedulers only store it and hand it back to
+  /// queued_jobs_after.
   [[nodiscard]] virtual std::uint64_t queue_tail_epoch() const { return 0; }
 
   /// Still-queued jobs appended at or after `epoch`, in append order. The

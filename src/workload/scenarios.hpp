@@ -25,7 +25,7 @@
 
 namespace dmsched {
 
-/// Tunable knobs accepted by every scenario factory. Zero/empty means "use
+/// Tunable knobs accepted by every scenario. Zero/empty means "use
 /// the scenario's published default", so default-constructed params always
 /// reproduce the documented scenario bit-for-bit.
 struct ScenarioParams {
@@ -129,9 +129,10 @@ struct Scenario {
 /// incrementally. For every registered scenario, draining `source` yields
 /// exactly the jobs of `make_scenario(name, params).trace` — same order,
 /// same ids — so streamed and eager runs are interchangeable (pinned by
-/// tests/workload/trace_source_test.cpp). The replicated-SWF and synthetic
-/// scenarios build genuinely incremental sources (O(1) workload memory at
-/// any job count); that is what makes the million-job replays feasible.
+/// tests/workload/trace_source_test.cpp). Both builds read the scenario's
+/// one registry row, and an SWF replay's eager trace *is* its drained
+/// stream. Every source is incremental (O(1) workload memory at any job
+/// count); that is what makes the million-job replays feasible.
 struct ScenarioStream {
   ScenarioInfo info;
   ClusterConfig cluster;

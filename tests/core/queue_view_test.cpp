@@ -1,9 +1,10 @@
 // Differential test of the engine's dense queue: at every scheduler pass,
 // before and after the policy runs, queued_jobs() must equal order_queue
 // applied to the queued set as tracked independently — from the lifecycle
-// events a trace sink sees (queued adds a job, started removes it). Covers
-// every QueueOrder, eager and streamed ingestion, on a backlogged
-// (load 1.5) mem-aware-EASY run.
+// events a trace sink sees (queued adds a job, started removes it) — and
+// queued_jobs_after() must name exactly the still-queued jobs the sink saw
+// appended since the epoch it is given. Covers every QueueOrder, eager and
+// streamed ingestion, on a backlogged (load 1.5) mem-aware-EASY run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,14 +28,18 @@ void PrintTo(QueueOrder order, std::ostream* os) { *os << to_string(order); }
 
 namespace {
 
-/// The queued set, rebuilt from lifecycle events alone.
+/// The queued set and the append log, rebuilt from lifecycle events alone.
 class QueuedSetSink final : public obs::TraceSink {
  public:
-  void on_job_queued(const obs::JobQueued& e) override { queued.insert(e.job); }
+  void on_job_queued(const obs::JobQueued& e) override {
+    queued.insert(e.job);
+    appended.push_back(e.job);
+  }
   void on_job_started(const obs::JobStarted& e) override {
     queued.erase(e.job);
   }
   std::set<JobId> queued;
+  std::vector<JobId> appended;
 };
 
 /// Runs `inner`, checking the context's queue view around every pass.
@@ -56,7 +61,9 @@ class CheckingScheduler final : public Scheduler {
 
   std::size_t checks = 0;
   std::size_t mismatches = 0;
+  std::size_t after_mismatches = 0;
   std::size_t max_depth = 0;
+  std::size_t max_suffix = 0;
 
  private:
   void check(const SchedContext& ctx) {
@@ -67,7 +74,52 @@ class CheckingScheduler final : public Scheduler {
     ++checks;
     if (ctx.queued_jobs() != expected) ++mismatches;
     max_depth = std::max(max_depth, expected.size());
+
+    // An epoch captured at an earlier check names the appends since then:
+    // the previous check's (as schedulers use it) and one kept for 64
+    // checks, so suffixes span many appends. Epoch 0 names every append
+    // (checked with the anchor, as it walks the whole log) and the current
+    // epoch none.
+    if (ctx.queued_jobs_after(last_.epoch) != still_queued_from(last_)) {
+      ++after_mismatches;
+    }
+    const std::vector<JobId> since_anchor = still_queued_from(anchor_);
+    if (ctx.queued_jobs_after(anchor_.epoch) != since_anchor) {
+      ++after_mismatches;
+    }
+    const Mark now{ctx.queue_tail_epoch(), sink_.appended.size()};
+    if (now.epoch < last_.epoch || !ctx.queued_jobs_after(now.epoch).empty()) {
+      ++after_mismatches;
+    }
+    max_suffix = std::max(max_suffix, since_anchor.size());
+    last_ = now;
+    if (checks % 64 == 0) {
+      if (ctx.queued_jobs_after(0) != still_queued_from({})) {
+        ++after_mismatches;
+      }
+      anchor_ = now;
+    }
   }
+
+  /// An epoch and how many appends the sink had seen when it was captured.
+  struct Mark {
+    std::uint64_t epoch = 0;
+    std::size_t appends = 0;
+  };
+
+  /// Jobs the sink saw appended since `mark`, still queued, in append order.
+  [[nodiscard]] std::vector<JobId> still_queued_from(Mark mark) const {
+    std::vector<JobId> out;
+    for (std::size_t i = mark.appends; i < sink_.appended.size(); ++i) {
+      if (sink_.queued.count(sink_.appended[i]) != 0) {
+        out.push_back(sink_.appended[i]);
+      }
+    }
+    return out;
+  }
+
+  Mark last_;
+  Mark anchor_;
 
   std::unique_ptr<Scheduler> inner_;
   const QueuedSetSink& sink_;
@@ -113,6 +165,9 @@ void expect_view_matches(QueueOrder order, std::size_t lookahead) {
   const RunMetrics m = sim->run();
   EXPECT_EQ(m.jobs.size(), trace.size());
   EXPECT_EQ(probe.mismatches, 0u) << "of " << probe.checks << " checks";
+  EXPECT_EQ(probe.after_mismatches, 0u) << "of " << probe.checks << " checks";
+  // Some suffix must span many appends, or the check proves little.
+  EXPECT_GT(probe.max_suffix, 10u);
   // The run must actually build a backlog, or the check proves little.
   EXPECT_GT(probe.max_depth, 100u);
   EXPECT_TRUE(sink.queued.empty());

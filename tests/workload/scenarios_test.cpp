@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <iterator>
 #include <stdexcept>
+#include <vector>
 
 #include "workload/swf.hpp"
 
@@ -367,6 +372,135 @@ TEST(MixedSwfScenario, EmbeddedFixtureMatchesTheBundledSwfFile) {
     EXPECT_EQ(s.trace.jobs()[i].walltime.usec(),
               file.trace.jobs()[i].walltime.usec());
     EXPECT_EQ(s.trace.jobs()[i].user, file.trace.jobs()[i].user);
+  }
+}
+
+// --- tiled-SWF trace pins ---------------------------------------------------
+// The eager SWF replays are the drained stream, so the stream-vs-eager
+// differential (ScenarioStreams.*) cannot see drift in the tiling, the prefix
+// or the load scaling. These digests were computed with the independent
+// eager construction (replicate the day via map_trace, Trace::make, prefix,
+// Trace::scaled_arrivals) that the stream replaced. To print the table:
+//   DMSCHED_REGEN_GOLDEN=1 ./build/tests/workload_scenarios_test
+//       --gtest_filter='SwfReplayPins.*'
+
+/// FNV-1a over the trace name, its size and every field of every job.
+std::uint64_t trace_digest(const Trace& t) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto add = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ULL; };
+  for (const char c : t.name()) add(static_cast<unsigned char>(c));
+  add(t.size());
+  for (const Job& j : t.jobs()) {
+    add(j.id);
+    add(static_cast<std::uint64_t>(j.submit.usec()));
+    add(static_cast<std::uint64_t>(j.nodes));
+    add(static_cast<std::uint64_t>(j.mem_per_node.count()));
+    add(static_cast<std::uint64_t>(j.runtime.usec()));
+    add(static_cast<std::uint64_t>(j.walltime.usec()));
+    add(static_cast<std::uint64_t>(j.sensitivity));
+    add(static_cast<std::uint64_t>(j.user));
+    add(static_cast<std::uint64_t>(j.gpus_per_node));
+    add(static_cast<std::uint64_t>(j.bb_bytes.count()));
+  }
+  return h;
+}
+
+struct SwfPin {
+  const char* scenario;
+  std::size_t jobs;  ///< 0 = the scenario default (as are load/node_scale)
+  double load;
+  double node_scale;
+  std::uint64_t digest;
+};
+
+// clang-format off
+constexpr SwfPin kSwfPins[] = {
+    {"mixed-swf", 0, 0.0, 0.0, 0xc312d11453d4b443ULL},
+    {"mixed-swf", 1, 0.3, 1.0, 0x04cc528ab7f85c1aULL},
+    {"mixed-swf", 1, 0.3, 2.0, 0x04cc528ab7f85c1aULL},
+    {"mixed-swf", 1, 3.7, 1.0, 0x04cc528ab7f85c1aULL},
+    {"mixed-swf", 1, 3.7, 2.0, 0x04cc528ab7f85c1aULL},
+    {"mixed-swf", 29, 0.3, 1.0, 0x4c48085c2c0c56fdULL},
+    {"mixed-swf", 29, 0.3, 2.0, 0x789e0925b034ba1aULL},
+    {"mixed-swf", 29, 3.7, 1.0, 0x7408aca24fa1ce80ULL},
+    {"mixed-swf", 29, 3.7, 2.0, 0x5cf3e8b3b94d475eULL},
+    {"mixed-swf", 31, 0.3, 1.0, 0xaf7b0a5c29a123ddULL},
+    {"mixed-swf", 31, 0.3, 2.0, 0xeffb0866050fa4d7ULL},
+    {"mixed-swf", 31, 3.7, 1.0, 0x14a36dfc1152a8f2ULL},
+    {"mixed-swf", 31, 3.7, 2.0, 0x892840402dacd435ULL},
+    {"mixed-swf", 7777, 0.3, 1.0, 0xdb5cf621c2a0b903ULL},
+    {"mixed-swf", 7777, 0.3, 2.0, 0x2c8574a40c714b99ULL},
+    {"mixed-swf", 7777, 3.7, 1.0, 0x0c9c29f9e8fb3404ULL},
+    {"mixed-swf", 7777, 3.7, 2.0, 0xb2ab5963df89060fULL},
+    {"large-replay", 0, 0.0, 0.0, 0xae555136e3895950ULL},
+    {"large-replay", 1, 0.3, 1.0, 0xf215141948a25839ULL},
+    {"large-replay", 1, 0.3, 2.0, 0xf215141948a25839ULL},
+    {"large-replay", 1, 3.7, 1.0, 0xf215141948a25839ULL},
+    {"large-replay", 1, 3.7, 2.0, 0xf215141948a25839ULL},
+    {"large-replay", 29, 0.3, 1.0, 0x3d9e48a6ef4de75aULL},
+    {"large-replay", 29, 0.3, 2.0, 0x0cd7dba49a3ee155ULL},
+    {"large-replay", 29, 3.7, 1.0, 0x7da36a0238c5a483ULL},
+    {"large-replay", 29, 3.7, 2.0, 0xce6224684e26bea1ULL},
+    {"large-replay", 31, 0.3, 1.0, 0xf3b394345e0d8362ULL},
+    {"large-replay", 31, 0.3, 2.0, 0xafba11f80ced909cULL},
+    {"large-replay", 31, 3.7, 1.0, 0xd8087bd17d84a51dULL},
+    {"large-replay", 31, 3.7, 2.0, 0x2506e3d2d7dffdaaULL},
+    {"large-replay", 7777, 0.3, 1.0, 0x4549ab53f0f787a8ULL},
+    {"large-replay", 7777, 0.3, 2.0, 0xe6b3fe8435ba282eULL},
+    {"large-replay", 7777, 3.7, 1.0, 0x926ec7401890d777ULL},
+    {"large-replay", 7777, 3.7, 2.0, 0x8bb0ef432afe94acULL},
+};
+// clang-format on
+
+/// The pinned parameter grid: each scenario at its defaults, then
+/// jobs {1, 29, 31, 7777} × load {0.3, 3.7} × node_scale {1, 2} — one job,
+/// a partial day, a day plus one, many replicas; under and over saturation;
+/// the published and a scaled machine.
+std::vector<SwfPin> swf_pin_grid() {
+  std::vector<SwfPin> grid;
+  for (const char* name : {"mixed-swf", "large-replay"}) {
+    grid.push_back({name, 0, 0.0, 0.0, 0});
+    for (const std::size_t jobs : {1u, 29u, 31u, 7777u}) {
+      for (const double load : {0.3, 3.7}) {
+        for (const double node_scale : {1.0, 2.0}) {
+          grid.push_back({name, jobs, load, node_scale, 0});
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+TEST(SwfReplayPins, TiledDayTracesMatchPinnedDigests) {
+  const std::vector<SwfPin> grid = swf_pin_grid();
+  std::vector<std::uint64_t> digests;
+  for (const SwfPin& pin : grid) {
+    const Scenario s = make_scenario(
+        pin.scenario,
+        {.jobs = pin.jobs, .load = pin.load, .node_scale = pin.node_scale});
+    EXPECT_EQ(s.trace.name(), pin.scenario);
+    digests.push_back(trace_digest(s.trace));
+  }
+  if (std::getenv("DMSCHED_REGEN_GOLDEN") != nullptr) {
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      std::printf("    {\"%s\", %zu, %.1f, %.1f, 0x%016llxULL},\n",
+                  grid[i].scenario, grid[i].jobs, grid[i].load,
+                  grid[i].node_scale,
+                  static_cast<unsigned long long>(digests[i]));
+    }
+    GTEST_SKIP() << "regen mode: table printed, assertions skipped";
+  }
+  ASSERT_EQ(grid.size(), std::size(kSwfPins));
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const SwfPin& pin = kSwfPins[i];
+    SCOPED_TRACE(::testing::Message()
+                 << pin.scenario << " jobs " << pin.jobs << " load "
+                 << pin.load << " node_scale " << pin.node_scale);
+    EXPECT_STREQ(grid[i].scenario, pin.scenario);
+    EXPECT_EQ(grid[i].jobs, pin.jobs);
+    EXPECT_EQ(grid[i].load, pin.load);
+    EXPECT_EQ(grid[i].node_scale, pin.node_scale);
+    EXPECT_EQ(digests[i], pin.digest);
   }
 }
 

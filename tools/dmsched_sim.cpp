@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "cluster/system_config.hpp"
 #include "common/cli.hpp"
@@ -35,6 +37,28 @@
 namespace {
 
 using namespace dmsched;
+
+const char* to_string(SlowdownModel::Kind kind) {
+  return kind == SlowdownModel::Kind::kSaturating ? "saturating" : "linear";
+}
+
+/// The value of `--flag`, matched against the `to_string` names of
+/// `values`. An unknown name prints "error: unknown --flag '...' (known:
+/// ...)" and yields nothing.
+template <class E>
+std::optional<E> named_value(const Cli& cli, const char* flag,
+                             const std::vector<E>& values) {
+  const std::string value = cli.get_string(flag);
+  std::string known;
+  for (const E e : values) {
+    if (value == to_string(e)) return e;
+    if (!known.empty()) known += '|';
+    known += to_string(e);
+  }
+  std::fprintf(stderr, "error: unknown --%s '%s' (known: %s)\n", flag,
+               value.c_str(), known.c_str());
+  return std::nullopt;
+}
 
 void write_jobs_csv(const std::string& path, const RunMetrics& m) {
   CsvWriter csv(path);
@@ -295,8 +319,41 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --reservation-depth must be >= 1\n");
     return 1;
   }
-  if (!(cli.get_double("migrate-gibps") >= 0.0)) {
-    std::fprintf(stderr, "error: --migrate-gibps must be >= 0\n");
+  for (const char* flag :
+       {"migrate-gibps", "beta-rack", "beta-neighbor", "beta-global"}) {
+    if (!(cli.get_double(flag) >= 0.0)) {  // NaN too
+      std::fprintf(stderr, "error: --%s must be >= 0\n", flag);
+      return 1;
+    }
+  }
+  // Unknown names fail loudly instead of falling back to the default.
+  const auto scheduler = named_value<SchedulerKind>(
+      cli, "scheduler",
+      {SchedulerKind::kFcfs, SchedulerKind::kEasy,
+       SchedulerKind::kConservative, SchedulerKind::kMemAwareEasy,
+       SchedulerKind::kAdaptive, SchedulerKind::kResourceAwareEasy});
+  const auto workload = named_value(cli, "workload", all_workload_models());
+  const auto queue_order = named_value<QueueOrder>(
+      cli, "queue-order",
+      {QueueOrder::kFcfs, QueueOrder::kShortestFirst,
+       QueueOrder::kLargestFirst, QueueOrder::kWfp});
+  const auto backfill_order = named_value<BackfillOrder>(
+      cli, "backfill-order",
+      {BackfillOrder::kQueueOrder, BackfillOrder::kShortestFirst,
+       BackfillOrder::kBestMemFit});
+  const auto selection = named_value<NodeSelection>(
+      cli, "selection",
+      {NodeSelection::kFirstFit, NodeSelection::kPackRacks,
+       NodeSelection::kSpreadRacks, NodeSelection::kPoolAware});
+  const auto routing = named_value<PoolRouting>(
+      cli, "routing",
+      {PoolRouting::kRackOnly, PoolRouting::kRackThenGlobal,
+       PoolRouting::kRackNeighborGlobal, PoolRouting::kGlobalOnly});
+  const auto slowdown = named_value<SlowdownModel::Kind>(
+      cli, "slowdown",
+      {SlowdownModel::Kind::kLinear, SlowdownModel::Kind::kSaturating});
+  if (!scheduler || !workload || !queue_order || !backfill_order ||
+      !selection || !routing || !slowdown) {
     return 1;
   }
 
@@ -365,13 +422,8 @@ int main(int argc, char** argv) {
           static_cast<std::int32_t>(cli.get_int("nodes-per-rack")),
           gib(cli.get_int("local-gib")), gib(cli.get_int("pool-gib")),
           gib(cli.get_int("global-gib")));
-  config.scheduler = scheduler_kind_from_string(cli.get_string("scheduler"));
-  config.mem_options.order = [&] {
-    const std::string s = cli.get_string("backfill-order");
-    if (s == "shortest-first") return BackfillOrder::kShortestFirst;
-    if (s == "best-mem-fit") return BackfillOrder::kBestMemFit;
-    return BackfillOrder::kQueueOrder;
-  }();
+  config.scheduler = *scheduler;
+  config.mem_options.order = *backfill_order;
   config.mem_options.reservation_depth =
       static_cast<std::size_t>(cli.get_int("reservation-depth"));
   config.mem_options.adaptive_margin_sec =
@@ -382,13 +434,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --reserve-headroom must lie in [0, 1)\n");
     return 1;
   }
-  config.engine.queue_order = [&] {
-    const std::string s = cli.get_string("queue-order");
-    if (s == "sjf") return QueueOrder::kShortestFirst;
-    if (s == "largest") return QueueOrder::kLargestFirst;
-    if (s == "wfp") return QueueOrder::kWfp;
-    return QueueOrder::kFcfs;
-  }();
+  config.engine.queue_order = *queue_order;
   // A named strategy presets (selection, routing); the individual flags
   // refine it when explicitly provided.
   if (const std::string name = cli.get_string("placement"); !name.empty()) {
@@ -404,26 +450,12 @@ int main(int argc, char** argv) {
     config.engine.placement = make_placement(*strategy);
   }
   if (!cli.provided("placement") || cli.provided("selection")) {
-    config.engine.placement.selection = [&] {
-      const std::string s = cli.get_string("selection");
-      if (s == "first-fit") return NodeSelection::kFirstFit;
-      if (s == "pack-racks") return NodeSelection::kPackRacks;
-      if (s == "spread-racks") return NodeSelection::kSpreadRacks;
-      return NodeSelection::kPoolAware;
-    }();
+    config.engine.placement.selection = *selection;
   }
   if (!cli.provided("placement") || cli.provided("routing")) {
-    config.engine.placement.routing = [&] {
-      const std::string s = cli.get_string("routing");
-      if (s == "rack-only") return PoolRouting::kRackOnly;
-      if (s == "rack-neighbor-global") return PoolRouting::kRackNeighborGlobal;
-      if (s == "global-only") return PoolRouting::kGlobalOnly;
-      return PoolRouting::kRackThenGlobal;
-    }();
+    config.engine.placement.routing = *routing;
   }
-  config.engine.slowdown.kind = cli.get_string("slowdown") == "saturating"
-                                    ? SlowdownModel::Kind::kSaturating
-                                    : SlowdownModel::Kind::kLinear;
+  config.engine.slowdown.kind = *slowdown;
   config.engine.slowdown.beta_rack = cli.get_double("beta-rack");
   config.engine.slowdown.beta_neighbor = cli.get_double("beta-neighbor");
   config.engine.slowdown.beta_global = cli.get_double("beta-global");
@@ -489,7 +521,7 @@ int main(int argc, char** argv) {
                 result.lines_malformed);
     trace = result.trace.prefix(static_cast<std::size_t>(cli.get_int("jobs")));
   } else {
-    config.model = workload_model_from_string(cli.get_string("workload"));
+    config.model = *workload;
     config.jobs = static_cast<std::size_t>(cli.get_int("jobs"));
     config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     config.target_load = cli.get_double("load");
