@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cluster/system_config.hpp"
@@ -197,8 +198,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const WorkloadModel model =
-      workload_model_from_string(cli.get_string("model"));
+  const std::string model_name = cli.get_string("model");
+  const auto parsed_model = workload_model_from_string(model_name);
+  if (!parsed_model) {
+    std::fprintf(stderr, "error: unknown --model '%s'\n", model_name.c_str());
+    return 1;
+  }
+  const WorkloadModel model = *parsed_model;
   const auto jobs = static_cast<std::size_t>(cli.get_int("jobs"));
 
   auto make = [&](ClusterConfig cluster) {

@@ -7,6 +7,7 @@
 // This is the 20-line tour of the public API: build a machine, pick a
 // scheduler, generate (or load) a workload, run, read RunMetrics.
 #include <cstdio>
+#include <string>
 
 #include "cluster/system_config.hpp"
 #include "common/cli.hpp"
@@ -23,10 +24,18 @@ int main(int argc, char** argv) {
   cli.add_int("seed", 42, "workload RNG seed");
   if (!cli.parse(argc, argv)) return 1;
 
+  const std::string scheduler = cli.get_string("scheduler");
+  const auto kind = scheduler_kind_from_string(scheduler);
+  if (!kind) {
+    std::fprintf(stderr, "error: unknown --scheduler '%s'\n",
+                 scheduler.c_str());
+    return 1;
+  }
+
   ExperimentConfig config;
   config.cluster = disaggregated_config(cli.get_int("local-gib"),
                                         cli.get_int("pool-gib"));
-  config.scheduler = scheduler_kind_from_string(cli.get_string("scheduler"));
+  config.scheduler = *kind;
   config.model = WorkloadModel::kMixed;
   config.jobs = static_cast<std::size_t>(cli.get_int("jobs"));
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));

@@ -185,39 +185,46 @@ void FreeProfile::invalidate_cache_from(SimTime t) const {
   cache_consumed_.resize(keep);
 }
 
-void FreeProfile::ensure_cached_to(SimTime t) const {
-  if (!cache_times_.empty() && cache_times_.back() >= t) return;
-  std::size_t i = cache_consumed_.empty() ? 0 : cache_consumed_.back();
-  if (i >= ordered_.size() || deltas_[ordered_[i]].time > t) return;
-  ResourceState state = cache_states_.empty() ? base_ : cache_states_.back();
-  while (i < ordered_.size() && deltas_[ordered_[i]].time <= t) {
+bool FreeProfile::ensure_rows(std::size_t n) const {
+  while (cache_times_.size() < n) {
+    std::size_t i = cache_consumed_.empty() ? 0 : cache_consumed_.back();
+    if (i == ordered_.size()) return false;  // every delta is folded
     const SimTime row_time = deltas_[ordered_[i]].time;
     // One row per distinct delta time, with every delta at that time folded
     // (adds before subtracts, per ordered_) — intermediate same-time states
     // are never observable, matching the "apply everything <= t" contract.
+    cache_states_.push_back(cache_states_.empty() ? base_
+                                                  : cache_states_.back());
+    ResourceState& state = cache_states_.back();
     while (i < ordered_.size() && deltas_[ordered_[i]].time == row_time) {
       const ProfileDelta& d = deltas_[ordered_[i]];
       apply_signed(state, d.take, d.adds);
       ++i;
     }
     cache_times_.push_back(row_time);
-    cache_states_.push_back(state);
     cache_consumed_.push_back(i);
+  }
+  return true;
+}
+
+void FreeProfile::ensure_cached_to(SimTime t) const {
+  for (;;) {
+    const std::size_t i = cache_consumed_.empty() ? 0 : cache_consumed_.back();
+    if (i == ordered_.size() || deltas_[ordered_[i]].time > t) return;
+    ensure_rows(cache_times_.size() + 1);
   }
 }
 
-const ResourceState& FreeProfile::state_covering(SimTime t) const {
+std::size_t FreeProfile::rows_through(SimTime t) const {
   ensure_cached_to(t);
-  const auto it =
-      std::upper_bound(cache_times_.begin(), cache_times_.end(), t);
-  if (it == cache_times_.begin()) return base_;
-  return cache_states_[static_cast<std::size_t>(it - cache_times_.begin()) -
-                       1];
+  return static_cast<std::size_t>(
+      std::upper_bound(cache_times_.begin(), cache_times_.end(), t) -
+      cache_times_.begin());
 }
 
 ResourceState FreeProfile::state_at(SimTime time) const {
   DMSCHED_ASSERT(time >= now_, "state_at: time in the past");
-  return state_covering(time);
+  return row_state(rows_through(time));
 }
 
 SimTime FreeProfile::next_change_after(SimTime t) const {
@@ -243,41 +250,38 @@ std::vector<SimTime> FreeProfile::breakpoints() const {
 
 std::optional<FreeProfile::Fit> FreeProfile::earliest_fit(
     const Job& job, PlacementPolicy policy) const {
-  // Sweep the breakpoints in order against the cached prefix states. Holds
-  // make availability non-monotone, so every breakpoint is tested — but a
-  // repeated sweep over an unchanged prefix is pure cache hits.
-  SimTime t = now_;
-  for (;;) {
-    if (auto plan = compute_take(state_covering(t), *config_, job, policy)) {
-      return Fit{t, std::move(*plan)};
-    }
-    const SimTime next = next_change_after(t);
-    if (next == kTimeInfinity) return std::nullopt;  // final state tested
-    t = next;
-  }
+  // A zero-length window: the continuity walk is empty, so this is the
+  // instantaneous fit.
+  return earliest_fit_window(job, policy,
+                             [](const TakePlan&) { return SimTime{}; });
 }
 
 std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
     const Job& job, PlacementPolicy policy,
     const std::function<SimTime(const TakePlan&)>& duration_of) const {
+  // Row cursor (see the header): with `row` rows folded into the state at
+  // candidate t, cache_times_[row] is next_change_after(t) and
+  // cache_states_[row] the state there. Holds make availability
+  // non-monotone, so every breakpoint is tested. Row references die at the
+  // next ensure_rows.
+  std::size_t row = rows_through(now_);
   SimTime t = now_;
   for (;;) {
-    auto plan = compute_take(state_covering(t), *config_, job, policy);
-    if (plan) {
+    if (auto plan = compute_take(row_state(row), *config_, job, policy)) {
       const SimTime end = t + duration_of(*plan);
       bool continuous = true;
-      for (SimTime u = next_change_after(t); u < end;
-           u = next_change_after(u)) {
-        if (!can_apply(state_covering(u), *plan)) {
+      for (std::size_t j = row; ensure_rows(j + 1) && cache_times_[j] < end;
+           ++j) {
+        if (!can_apply(cache_states_[j], *plan)) {
           continuous = false;
           break;
         }
       }
       if (continuous) return Fit{t, std::move(*plan)};
     }
-    const SimTime next = next_change_after(t);
-    if (next == kTimeInfinity) return std::nullopt;
-    t = next;
+    if (!ensure_rows(row + 1)) return std::nullopt;  // final state tested
+    t = cache_times_[row];
+    ++row;
   }
 }
 

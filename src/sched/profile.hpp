@@ -22,6 +22,13 @@
 // disaggregation-aware. Feasibility at a breakpoint reuses the placement
 // kernel, so the profile can never disagree with the planner about whether
 // a job fits.
+//
+// The fit sweep is a row cursor over the prefix-state cache. Cache rows are
+// exactly the distinct delta times, so the row after the one covering t is
+// the next breakpoint and holds the state there: each sweep step costs O(1)
+// plus at most one row fold (one ResourceState copy), and visits the same
+// breakpoints and states, byte for byte, as a sweep that binary-searches
+// next_change_after() and state_at() at every step.
 #pragma once
 
 #include <cstdint>
@@ -150,8 +157,9 @@ class FreeProfile {
   [[nodiscard]] ResourceState state_at(SimTime time) const;
 
   /// Earliest time >= now at which `job` fits *instantaneously*, with the
-  /// plan it would get. Returns nullopt only if the job does not even fit
-  /// with every tracked release applied.
+  /// plan it would get: earliest_fit_window with a zero-length window.
+  /// Returns nullopt only if the job does not even fit with every tracked
+  /// delta applied.
   ///
   /// Correct for profiles whose deltas after now() only add resources
   /// (releases, plus holds that start at now) — then an instantaneous fit
@@ -199,11 +207,19 @@ class FreeProfile {
   void insert_delta(ProfileDelta d);
   /// Drop cached prefix states at or after `t` (a delta at `t` changed).
   void invalidate_cache_from(SimTime t) const;
+  /// Grow the prefix-state cache to at least `n` rows, one row (one copy of
+  /// the last row plus its time's deltas) at a time. False when every
+  /// delta is folded and fewer than `n` rows exist.
+  bool ensure_rows(std::size_t n) const;
   /// Extend the prefix-state cache through every delta time <= `t`.
   void ensure_cached_to(SimTime t) const;
-  /// State effective at `t`: the cached row for the greatest delta time
-  /// <= `t`, or the base state. Reference dies at the next cache call.
-  [[nodiscard]] const ResourceState& state_covering(SimTime t) const;
+  /// Number of cache rows with time <= `t`, after caching them all.
+  [[nodiscard]] std::size_t rows_through(SimTime t) const;
+  /// State with the first `rows` rows folded in: the base state or the
+  /// last of them. Reference dies at the next cache call.
+  [[nodiscard]] const ResourceState& row_state(std::size_t rows) const {
+    return rows == 0 ? base_ : cache_states_[rows - 1];
+  }
 
   ResourceState base_;
   SimTime now_{};

@@ -4,10 +4,12 @@
 //  - the kernel's aggregate bound against the full rack walk, and its
 //    allocation-free rack order against a std::stable_sort reference, on
 //    states whose racks tie;
+//  - the kernel's monotonicity in demand and in free state, by brute force;
 //  - profile fitting against brute-force probing of state_at().
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -297,6 +299,189 @@ TEST(PlacementFuzz, RackOrderMatchesStableSortReference) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Kernel monotonicity, the fact any dominance pruning would rest on: a
+// rejected demand stays rejected when it grows on any axis, and an admitted
+// demand stays admitted when the free state grows on any rack or tier.
+// Checked by brute force over every NodeSelection x PoolRouting x axes mask
+// on small machines with every axis present at random.
+// ---------------------------------------------------------------------------
+
+/// A machine small enough that the exhaustive demand grid stays ~100 shapes.
+/// The last rack may be partial.
+ClusterConfig small_axes_config(Rng& rng) {
+  ClusterConfig c;
+  c.name = "monotone";
+  c.nodes_per_rack = static_cast<std::int32_t>(rng.uniform_int(1, 3));
+  c.total_nodes = static_cast<std::int32_t>(
+      rng.uniform_int(1, 3 * static_cast<std::int64_t>(c.nodes_per_rack)));
+  c.local_mem_per_node = gib(rng.uniform_int(1, 3));
+  c.pool_per_rack = rng.bernoulli(0.7) ? gib(rng.uniform_int(1, 6)) : Bytes{0};
+  c.global_pool = rng.bernoulli(0.5) ? gib(rng.uniform_int(1, 8)) : Bytes{0};
+  if (rng.bernoulli(0.5)) {
+    c.gpus_per_node = static_cast<std::int32_t>(rng.uniform_int(1, 2));
+  }
+  if (rng.bernoulli(0.5)) c.bb_capacity = gib(rng.uniform_int(1, 2));
+  return c;
+}
+
+/// Every free amount drawn from [0, capacity] in whole units (GiB, nodes,
+/// devices).
+ResourceState small_axes_state(Rng& rng, const ClusterConfig& c) {
+  ResourceState s = empty_state(c);
+  const auto part = [&](std::int64_t full) { return rng.uniform_int(0, full); };
+  const auto part_gib = [&](Bytes full) {
+    return gib(part(full.count() / kGiB.count()));
+  };
+  for (std::size_t r = 0; r < s.free_nodes.size(); ++r) {
+    s.free_nodes[r] = static_cast<std::int32_t>(part(s.free_nodes[r]));
+    s.pool_free[r] = part_gib(s.pool_free[r]);
+    if (r < s.free_gpus.size()) s.free_gpus[r] = part(s.free_gpus[r]);
+  }
+  s.global_free = part_gib(s.global_free);
+  s.bb_free = part_gib(s.bb_free);
+  return s;
+}
+
+/// The exhaustive demand grid, one unit past every capacity: nodes, memory
+/// per node (GiB), GPUs per node, burst buffer (GiB).
+struct DemandGrid {
+  std::int64_t extent[4];
+
+  explicit DemandGrid(const ClusterConfig& c)
+      : extent{c.total_nodes + 1,
+               c.local_mem_per_node.count() / kGiB.count() + 5,
+               c.gpus_per_node + 2, c.bb_capacity.count() / kGiB.count() + 2} {
+  }
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(extent[0] * extent[1] * extent[2] *
+                                    extent[3]);
+  }
+  /// Mixed-radix coordinates of cell `i`; nodes and memory start at 1.
+  void coords(std::size_t i, std::int64_t (&x)[4]) const {
+    auto rest = static_cast<std::int64_t>(i);
+    for (int a = 3; a >= 0; --a) {
+      x[a] = rest % extent[a];
+      rest /= extent[a];
+    }
+  }
+  [[nodiscard]] std::size_t index(const std::int64_t (&x)[4]) const {
+    std::int64_t i = 0;
+    for (int a = 0; a < 4; ++a) i = i * extent[a] + x[a];
+    return static_cast<std::size_t>(i);
+  }
+  [[nodiscard]] Job job(const std::int64_t (&x)[4]) const {
+    Job j = testing::job(0).nodes(static_cast<std::int32_t>(x[0] + 1));
+    j.mem_per_node = gib(x[1] + 1);
+    j.gpus_per_node = static_cast<std::int32_t>(x[2]);
+    j.bb_bytes = gib(x[3]);
+    return j;
+  }
+};
+
+std::vector<char> admit_table(const ResourceState& s, const ClusterConfig& c,
+                              const DemandGrid& grid,
+                              const PlacementPolicy& policy) {
+  std::vector<char> admits(grid.size());
+  std::int64_t x[4];
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    grid.coords(i, x);
+    admits[i] = compute_take(s, c, grid.job(x), policy).has_value() ? 1 : 0;
+  }
+  return admits;
+}
+
+/// Every single-unit growth of `s` that stays within capacity.
+std::vector<ResourceState> grown_states(const ResourceState& s,
+                                        const ClusterConfig& c) {
+  ResourceState full = empty_state(c);
+  std::vector<ResourceState> out;
+  const auto grow = [&](auto field, auto unit) {
+    ResourceState g = s;
+    field(g) += unit;
+    if (field(g) <= field(full)) out.push_back(g);
+  };
+  for (std::size_t r = 0; r < s.free_nodes.size(); ++r) {
+    grow([r](ResourceState& x) -> auto& { return x.free_nodes[r]; },
+         std::int32_t{1});
+    grow([r](ResourceState& x) -> auto& { return x.pool_free[r]; }, kGiB);
+    if (r < s.free_gpus.size()) {
+      grow([r](ResourceState& x) -> auto& { return x.free_gpus[r]; },
+           std::int64_t{1});
+    }
+  }
+  grow([](ResourceState& x) -> auto& { return x.global_free; }, kGiB);
+  grow([](ResourceState& x) -> auto& { return x.bb_free; }, kGiB);
+  return out;
+}
+
+TEST(PlacementFuzz, KernelIsMonotoneInDemandAndFreeState) {
+  Rng rng(20261019);
+  std::size_t admitted = 0;
+  std::size_t rejected = 0;
+  std::size_t state_pairs = 0;
+  for (int round = 0; round < 60; ++round) {
+    const ClusterConfig c = small_axes_config(rng);
+    const ResourceState s = small_axes_state(rng, c);
+    const DemandGrid grid(c);
+    const std::vector<ResourceState> grown = grown_states(s, c);
+    std::int64_t x[4];
+    for (const NodeSelection sel : kSelections) {
+      for (const PoolRouting route : kRoutings) {
+        for (const bool gpus : {false, true}) {
+          for (const bool bb : {false, true}) {
+            const PlacementPolicy policy{sel, route,
+                                         {.gpus = gpus, .burst_buffer = bb}};
+            const auto where = [&] {
+              return ::testing::Message()
+                     << "round " << round << " (" << to_string(sel) << ", "
+                     << to_string(route) << ", gpus " << gpus << ", bb " << bb
+                     << ") demand nodes " << x[0] + 1 << " mem " << x[1] + 1
+                     << " GiB gpus " << x[2] << " bb " << x[3] << " GiB";
+            };
+            const std::vector<char> at_s = admit_table(s, c, grid, policy);
+            // Demand: a rejection survives one more unit on any axis, so by
+            // induction over the grid every larger demand is rejected too.
+            for (std::size_t i = 0; i < grid.size(); ++i) {
+              if (at_s[i]) {
+                ++admitted;
+                continue;
+              }
+              ++rejected;
+              grid.coords(i, x);
+              for (int a = 0; a < 4; ++a) {
+                if (x[a] + 1 == grid.extent[a]) continue;
+                ++x[a];
+                EXPECT_FALSE(at_s[grid.index(x)])
+                    << where() << ": admitted after growing axis " << a;
+                --x[a];
+              }
+            }
+            // State: an admission survives one more free unit on any rack
+            // or tier.
+            for (const ResourceState& g : grown) {
+              ++state_pairs;
+              const std::vector<char> at_g = admit_table(g, c, grid, policy);
+              for (std::size_t i = 0; i < grid.size(); ++i) {
+                if (!at_s[i] || at_g[i]) continue;
+                grid.coords(i, x);
+                ADD_FAILURE() << where()
+                              << ": rejected after the free state grew";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both outcomes must occur often, or the property holds vacuously.
+  EXPECT_GT(admitted, 10000u);
+  EXPECT_GT(rejected, 10000u);
+  EXPECT_GT(state_pairs, 10000u);
+  std::printf("%zu admitted, %zu rejected demands; %zu grown-state tables\n",
+              admitted, rejected, state_pairs);
 }
 
 TEST(ProfileFuzz, EarliestFitAgreesWithStateProbing) {

@@ -2,14 +2,19 @@
 //  - AvailabilityTimeline unit behavior (push updates, version dirty flag);
 //  - a randomized property test pinning the incremental FreeProfile (lazy
 //    prefix-state cache, insert/rollback in arbitrary order) to a
-//    from-scratch rebuild at every breakpoint;
+//    from-scratch rebuild at every breakpoint, and its row-cursor window
+//    fit to a reference sweep that binary-searches every step;
 //  - the scheduler-level fast passes (EASY, conservative) against a fresh
 //    full recompute on identical state;
 //  - the conservative hold-pricing drift regression (hold the plan that
 //    started, not the profile's plan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <functional>
 #include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -38,6 +43,45 @@ void expect_states_equal(const ResourceState& a, const ResourceState& b) {
   EXPECT_EQ(a.free_nodes, b.free_nodes);
   EXPECT_EQ(a.pool_free, b.pool_free);
   EXPECT_EQ(a.global_free, b.global_free);
+}
+
+void expect_plans_equal(const TakePlan& a, const TakePlan& b) {
+  EXPECT_EQ(a.local_per_node, b.local_per_node);
+  EXPECT_EQ(a.far_per_node, b.far_per_node);
+  EXPECT_EQ(a.bb_bytes, b.bb_bytes);
+  ASSERT_EQ(a.takes.size(), b.takes.size());
+  for (std::size_t i = 0; i < a.takes.size(); ++i) {
+    EXPECT_EQ(a.takes[i].rack, b.takes[i].rack);
+    EXPECT_EQ(a.takes[i].nodes, b.takes[i].nodes);
+    EXPECT_EQ(a.takes[i].rack_pool_bytes, b.takes[i].rack_pool_bytes);
+    EXPECT_EQ(a.takes[i].global_pool_bytes, b.takes[i].global_pool_bytes);
+    EXPECT_EQ(a.takes[i].gpus, b.takes[i].gpus);
+    EXPECT_EQ(a.takes[i].neighbor_pool_bytes, b.takes[i].neighbor_pool_bytes);
+  }
+}
+
+/// Reference window fit: probe next_change_after() and state_at() at every
+/// step, two binary searches per breakpoint. earliest_fit_window's row
+/// cursor must reproduce it exactly, time and plan.
+template <typename DurationOf>
+std::optional<FreeProfile::Fit> reference_fit_window(
+    const FreeProfile& profile, const ClusterConfig& config, const Job& job,
+    PlacementPolicy policy, const DurationOf& duration_of) {
+  for (SimTime t = profile.now();; t = profile.next_change_after(t)) {
+    if (t == kTimeInfinity) return std::nullopt;
+    auto plan = compute_take(profile.state_at(t), config, job, policy);
+    if (!plan) continue;
+    const SimTime end = t + duration_of(*plan);
+    bool continuous = true;
+    for (SimTime u = profile.next_change_after(t); u < end;
+         u = profile.next_change_after(u)) {
+      if (!can_apply(profile.state_at(u), *plan)) {
+        continuous = false;
+        break;
+      }
+    }
+    if (continuous) return FreeProfile::Fit{t, std::move(*plan)};
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -173,7 +217,53 @@ TEST(FreeProfileProperty, RandomOpsMatchFromScratchRebuild) {
     ops.push_back({false, t, SimTime{}, take});
   }
 
+  // The row-cursor window fit against the reference sweep: wider jobs than
+  // the op log's, so fits land on future breakpoints, each at a zero, a
+  // fixed, a random, a plan-dependent duration and one that ends a window
+  // opened at now exactly on a breakpoint. The cursor runs first, on
+  // whatever the cache holds at the call.
+  int fits_checked = 0;
+  int future_fits = 0;
+  const auto check_fits = [&]() {
+    const std::vector<SimTime> points = live.breakpoints();
+    const auto point = [&]() {
+      return points[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(points.size()) - 1))];
+    };
+    for (int k = 0; k < 5; ++k) {
+      Job j;
+      j.id = 0;
+      j.nodes = static_cast<std::int32_t>(rng.uniform_int(1, 24));
+      j.mem_per_node = gib(rng.uniform(16.0, 160.0));
+      const SimTime random_len = seconds(rng.uniform(1.0, 60000.0));
+      const SimTime to_point = point() - t0;
+      const std::function<SimTime(const TakePlan&)> durations[] = {
+          [](const TakePlan&) { return SimTime{}; },
+          [](const TakePlan&) { return seconds(std::int64_t{600}); },
+          [&](const TakePlan&) { return random_len; },
+          [&](const TakePlan&) { return to_point; },
+          [&](const TakePlan& plan) {
+            return random_len +
+                   seconds(static_cast<double>(plan.global_total().count()) /
+                           static_cast<double>(kGiB.count()));
+          },
+      };
+      for (const auto& duration_of : durations) {
+        const auto fit = live.earliest_fit_window(j, policy, duration_of);
+        const auto ref =
+            reference_fit_window(live, config, j, policy, duration_of);
+        ++fits_checked;
+        ASSERT_EQ(fit.has_value(), ref.has_value());
+        if (!fit) continue;
+        EXPECT_EQ(fit->time, ref->time);
+        expect_plans_equal(fit->plan, ref->plan);
+        if (fit->time > t0) ++future_fits;
+      }
+    }
+  };
+
   const auto verify = [&]() {
+    check_fits();
     FreeProfile fresh(busy, t0, &config);
     for (const Op& op : ops) {
       if (op.hold) {
@@ -196,6 +286,23 @@ TEST(FreeProfileProperty, RandomOpsMatchFromScratchRebuild) {
     }
   };
 
+  // Coverage of the cases the cursor must get right: a partly built cache
+  // (after a rollback or an insert below the furthest query), a past-due
+  // release, a hold starting at now, and adds and subtracts at one time.
+  // `cached_to` tracks how far queries have built the cache.
+  SimTime cached_to = t0;
+  const auto inserted_at = [&](SimTime t) {
+    const bool mid_cache = t > t0 && t < cached_to;
+    cached_to = std::min(cached_to, t);
+    return mid_cache;
+  };
+  int fits_after_rollback = 0;
+  int fits_after_mid_insert = 0;
+  int mid_inserts = 0;
+  int past_due_releases = 0;
+  int holds_at_now = 0;
+  int holds_on_release_time = 0;
+
   std::vector<std::pair<FreeProfile::Mark, std::size_t>> marks;
   int holds_added = 0;
   int releases_added = 0;
@@ -207,6 +314,7 @@ TEST(FreeProfileProperty, RandomOpsMatchFromScratchRebuild) {
       // random order, so later inserts must invalidate mid-cache rows.
       const SimTime t = t0 + seconds(rng.uniform(0.0, 250000.0));
       const ResourceState s = live.state_at(t);
+      cached_to = std::max(cached_to, t);
       ASSERT_GE(total_free_nodes(s), 0);
     } else if (r < 0.58) {
       // A release (always feasible: planned against the empty machine);
@@ -214,14 +322,30 @@ TEST(FreeProfileProperty, RandomOpsMatchFromScratchRebuild) {
       const auto plan =
           compute_take(empty_state(config), config, random_job(), policy);
       ASSERT_TRUE(plan.has_value());
-      const SimTime t = t0 + seconds(rng.uniform(-900.0, 200000.0));
+      const SimTime t =
+          t0 + seconds(rng.bernoulli(0.1) ? rng.uniform(-900.0, 0.0)
+                                          : rng.uniform(-900.0, 200000.0));
       live.add_release(t, *plan);
       ops.push_back({false, t, SimTime{}, *plan});
       ++releases_added;
+      if (t < t0) ++past_due_releases;
+      if (inserted_at(t) && ++mid_inserts % 4 == 0) {
+        check_fits();
+        ++fits_after_mid_insert;
+      }
     } else if (r < 0.90) {
       // A hold over a window where its plan stays subtractable — the same
-      // feasibility sweep the schedulers run before reserving.
-      const SimTime start = t0 + seconds(rng.uniform(0.0, 150000.0));
+      // feasibility sweep the schedulers run before reserving. Some start
+      // at now, and some exactly when a logged release lands.
+      const double where = rng.uniform();
+      SimTime start = t0 + seconds(rng.uniform(0.0, 150000.0));
+      if (where < 0.15) {
+        start = t0;
+      } else if (where < 0.35) {
+        const Op& op = ops[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(ops.size()) - 1))];
+        if (!op.hold && op.a >= t0) start = op.a;
+      }
       const SimTime end = start + seconds(rng.uniform(100.0, 40000.0));
       const auto plan =
           compute_take(live.state_at(start), config, random_job(), policy);
@@ -235,25 +359,51 @@ TEST(FreeProfileProperty, RandomOpsMatchFromScratchRebuild) {
         }
       }
       if (!feasible) continue;
+      if (start == t0) ++holds_at_now;
+      for (const Op& op : ops) {
+        if (!op.hold && op.a == start) {
+          ++holds_on_release_time;
+          break;
+        }
+      }
       live.add_hold(start, end, *plan);
       ops.push_back({true, start, end, *plan});
       ++holds_added;
+      if (inserted_at(start) && ++mid_inserts % 4 == 0) {
+        check_fits();
+        ++fits_after_mid_insert;
+      }
     } else if (r < 0.96 || marks.empty()) {
       marks.emplace_back(live.mark(), ops.size());
     } else {
       const auto [m, n] = marks.back();
       marks.pop_back();
+      for (std::size_t i = n; i < ops.size(); ++i) inserted_at(ops[i].a);
       live.rollback(m);
       ops.resize(n);
       ++rollbacks;
+      check_fits();
+      ++fits_after_rollback;
     }
     if (step % 150 == 149) verify();
   }
   verify();
-  // The sequence must actually have exercised every op kind.
+  // The sequence must actually have exercised every op kind and every case
+  // the fit cursor must get right.
   EXPECT_GT(holds_added, 100);
   EXPECT_GT(releases_added, 100);
   EXPECT_GT(rollbacks, 5);
+  EXPECT_GT(past_due_releases, 10);
+  EXPECT_GT(holds_at_now, 5);
+  EXPECT_GT(holds_on_release_time, 10);
+  EXPECT_GT(fits_after_rollback, 5);
+  EXPECT_GT(fits_after_mid_insert, 5);
+  EXPECT_GT(future_fits, fits_checked / 10);
+  std::printf("fits %d (future %d; after rollback %d, after mid-cache "
+              "insert %d), past-due %d, holds at now %d, on a release %d\n",
+              fits_checked, future_fits, fits_after_rollback,
+              fits_after_mid_insert, past_due_releases, holds_at_now,
+              holds_on_release_time);
 }
 
 // ---------------------------------------------------------------------------

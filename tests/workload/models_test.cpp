@@ -16,8 +16,8 @@ TEST(Models, NamesRoundTrip) {
   }
 }
 
-TEST(Models, UnknownNameAborts) {
-  EXPECT_DEATH((void)workload_model_from_string("nope"), "unknown");
+TEST(Models, UnknownNameIsNullopt) {
+  EXPECT_EQ(workload_model_from_string("nope"), std::nullopt);
 }
 
 TEST(Models, AllModelsGenerate) {
