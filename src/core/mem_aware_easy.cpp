@@ -82,15 +82,14 @@ std::optional<FitChoice> choose_fit(const FreeProfile& profile, const Job& job,
   return primary;
 }
 
-/// Compute reservations for `jobs` in order, adding each one's hold to the
-/// profile so later reservations (and backfill checks) respect it.
-std::vector<Reservation> place_reservations(FreeProfile& profile,
-                                            const std::vector<JobId>& jobs,
-                                            const SchedContext& ctx,
-                                            const MemAwareOptions& opts,
-                                            const PlacementPolicy& planning) {
-  std::vector<Reservation> reservations;
-  reservations.reserve(jobs.size());
+/// Compute reservations for `jobs` in order into `reservations` (cleared
+/// first, capacity kept), adding each one's hold to the profile so later
+/// reservations (and backfill checks) respect it.
+void place_reservations(FreeProfile& profile, const std::vector<JobId>& jobs,
+                        const SchedContext& ctx, const MemAwareOptions& opts,
+                        const PlacementPolicy& planning,
+                        std::vector<Reservation>& reservations) {
+  reservations.clear();
   for (const JobId id : jobs) {
     const Job& job = ctx.job(id);
     const auto choice = choose_fit(profile, job, ctx, opts, planning);
@@ -101,7 +100,6 @@ std::vector<Reservation> place_reservations(FreeProfile& profile,
                      choice->fit.plan);
     reservations.push_back({id, choice->fit.time, choice->finish_bound});
   }
-  return reservations;
 }
 
 /// Tier-headroom shield: true when starting `take` now would leave each
@@ -221,8 +219,8 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
         queue.begin() + static_cast<std::ptrdiff_t>(qi),
         queue.begin() + static_cast<std::ptrdiff_t>(qi + depth));
     const auto baseline_mark = profile_.mark();
-    baseline_ =
-        place_reservations(profile_, reserved_jobs_, ctx, options_, planning);
+    place_reservations(profile_, reserved_jobs_, ctx, options_, planning,
+                       baseline_);
     profile_.rollback(baseline_mark);
   }
   // Fast pass: heads are still blocked and baseline_/reserved_jobs_ are
@@ -271,9 +269,11 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
 
   // The free state at now moves only when a backfill is accepted: every
   // rejected candidate rolls its hold back, and the what-if reservations
-  // are rolled back too. So it is computed once and refreshed per start.
-  ResourceState state_now = profile_.state_at(now);
-  std::int32_t free_nodes_now = state_now.total_free_nodes();
+  // are rolled back too. So it is computed once and refreshed per start,
+  // by copy-assignment into a member that keeps its storage across passes;
+  // candidates are planned into one member plan the same way.
+  state_now_ = profile_.state_at(now);
+  std::int32_t free_nodes_now = state_now_.total_free_nodes();
   std::size_t examined = 0;
   for (const JobId cid : candidates) {
     if (examined >= options_.backfill_window) break;
@@ -283,25 +283,24 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
     // No plan can place a job wider than the free nodes (EASY's rule).
     if (cand.nodes > free_nodes_now) continue;
     ++stats_.plans_attempted;
-    auto take = compute_take(state_now, config, cand, planning);
-    if (!take) continue;
+    if (!compute_take_into(state_now_, config, cand, planning, take_)) continue;
 
     // Tier-headroom shield: skip backfills that would drain a pool tier
     // below the configured reserve (kept for the protected queue front).
     if (options_.reserve_headroom > 0.0 &&
-        !take->far_per_node.is_zero() &&
-        !leaves_tier_headroom(ctx, state_now, *take,
+        !take_.far_per_node.is_zero() &&
+        !leaves_tier_headroom(ctx, state_now_, take_,
                               options_.reserve_headroom)) {
       continue;
     }
 
     const double dil = ctx.slowdown().dilation_bytes(
-        take->rack_pool_total(), take->neighbor_pool_total(),
-        take->global_total(), cand.total_mem(), cand.sensitivity);
+        take_.rack_pool_total(), take_.neighbor_pool_total(),
+        take_.global_total(), cand.total_mem(), cand.sensitivity);
 
     // Adaptive veto: skip a backfill that spills to the global tier when a
     // rack-pool-fed start later would finish sooner anyway.
-    if (options_.adaptive && !take->global_total().is_zero()) {
+    if (options_.adaptive && !take_.global_total().is_zero()) {
       PlacementPolicy rack_only = planning;
       rack_only.routing = PoolRouting::kRackOnly;
       const auto alt = evaluate_fit(profile_, cand, ctx, rack_only);
@@ -314,7 +313,7 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
 
     const SimTime end_bound = now + cand.walltime.scaled(dil);
     const auto mark = profile_.mark();
-    profile_.add_hold(now, end_bound, *take);
+    profile_.add_hold(now, end_bound, take_);
     // Fast path: a candidate that returns everything before the earliest
     // reservation begins cannot delay any reservation.
     bool accept = !baseline_.empty() && end_bound <= baseline_.front().start;
@@ -322,10 +321,10 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
       // What-if: recompute all reservations with the candidate held and
       // require that none regresses.
       const auto what_if_mark = profile_.mark();
-      const std::vector<Reservation> fresh =
-          place_reservations(profile_, reserved_jobs_, ctx, options_, planning);
+      place_reservations(profile_, reserved_jobs_, ctx, options_, planning,
+                         what_if_);
       profile_.rollback(what_if_mark);
-      accept = no_regression(baseline_, fresh);
+      accept = no_regression(baseline_, what_if_);
     }
     if (!accept) {
       profile_.rollback(mark);
@@ -343,12 +342,12 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
       const Allocation alloc = materialize(ctx.cluster(), cand, *physical);
       ctx.start_job(cid, alloc);
     } else {
-      const Allocation alloc = materialize(ctx.cluster(), cand, *take);
+      const Allocation alloc = materialize(ctx.cluster(), cand, take_);
       ctx.start_job(cid, alloc);
     }
     any_start = true;
-    state_now = profile_.state_at(now);
-    free_nodes_now = state_now.total_free_nodes();
+    state_now_ = profile_.state_at(now);
+    free_nodes_now = state_now_.total_free_nodes();
   }
 
   // Arm the cache only where the phase-1/2 skip is a proof (see header):

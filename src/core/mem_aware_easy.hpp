@@ -111,6 +111,13 @@ class MemAwareEasyScheduler final : public Scheduler {
   /// The reserved queue prefix and its baseline, as of the cached pass.
   std::vector<JobId> reserved_jobs_;
   std::vector<Reservation> baseline_;
+
+  // Phase-3 scratch, kept across candidates and passes so the backfill
+  // loop allocates nothing in steady state: the free state at now, the
+  // candidate's plan, and the what-if reservations.
+  ResourceState state_now_;
+  TakePlan take_;
+  std::vector<Reservation> what_if_;
 };
 
 }  // namespace dmsched

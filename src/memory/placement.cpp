@@ -125,13 +125,13 @@ bool aggregate_admits(const ResourceState& state, const ClusterConfig& config,
   return reachable >= d * job.nodes;
 }
 
-std::optional<TakePlan> place_by_racks(const ResourceState& state,
-                                       const ClusterConfig& config,
-                                       const Job& job,
-                                       const PlacementPolicy& policy) {
-  TakePlan plan;
+bool place_by_racks(const ResourceState& state, const ClusterConfig& config,
+                    const Job& job, const PlacementPolicy& policy,
+                    TakePlan& plan) {
   plan.local_per_node = min(job.mem_per_node, config.local_mem_per_node);
   plan.far_per_node = job.mem_per_node - plan.local_per_node;
+  plan.bb_bytes = Bytes{0};
+  plan.takes.clear();
   const Bytes d = plan.far_per_node;
 
   // Optional axes. A policy blind to an axis plans as if the axis did not
@@ -139,7 +139,7 @@ std::optional<TakePlan> place_by_racks(const ResourceState& state,
   // code path either way, so legacy traces are byte-identical.
   const std::int32_t g = policy.axes.gpus ? job.gpus_per_node : 0;
   if (policy.axes.burst_buffer && job.bb_bytes > Bytes{0}) {
-    if (state.bb_free < job.bb_bytes) return std::nullopt;
+    if (state.bb_free < job.bb_bytes) return false;
     plan.bb_bytes = job.bb_bytes;
   }
   // Reused across calls: the kernel runs millions of times per backlog run,
@@ -160,8 +160,8 @@ std::optional<TakePlan> place_by_racks(const ResourceState& state,
         remaining -= take;
       }
     }
-    if (remaining > 0) return std::nullopt;
-    return plan;
+    if (remaining > 0) return false;
+    return true;
   }
 
   // Deficit job: nodes must be funded at d bytes each from some pool.
@@ -241,7 +241,7 @@ std::optional<TakePlan> place_by_racks(const ResourceState& state,
       placed += take_n;
       remaining -= take_n;
     }
-    if (remaining > 0) return std::nullopt;
+    if (remaining > 0) return false;
     // Fund the stage-2 deficit outward by hop distance: hosting racks'
     // residual pools, then foreign (neighbor) racks' pools, then the
     // global tier. Rack-index order within each ring keeps it deterministic.
@@ -265,7 +265,7 @@ std::optional<TakePlan> place_by_racks(const ResourceState& state,
       }
     }
     if (deficit > Bytes{0}) {
-      if (state.global_free < deficit) return std::nullopt;
+      if (state.global_free < deficit) return false;
       plan.takes.front().global_pool_bytes += deficit;
     }
     for (auto& t : plan.takes) {
@@ -273,22 +273,27 @@ std::optional<TakePlan> place_by_racks(const ResourceState& state,
     }
   }
 
-  if (remaining > 0) return std::nullopt;
-  return plan;
+  if (remaining > 0) return false;
+  return true;
 }
 
 }  // namespace detail
 
-std::optional<TakePlan> compute_take(const ResourceState& state,
-                                     const ClusterConfig& config,
-                                     const Job& job, PlacementPolicy policy) {
+bool compute_take_into(const ResourceState& state, const ClusterConfig& config,
+                       const Job& job, PlacementPolicy policy, TakePlan& out) {
   DMSCHED_ASSERT(state.free_nodes.size() ==
                      static_cast<std::size_t>(config.racks()),
                  "compute_take: state shape mismatch");
-  if (!detail::aggregate_admits(state, config, job, policy)) {
-    return std::nullopt;
-  }
-  return detail::place_by_racks(state, config, job, policy);
+  return detail::aggregate_admits(state, config, job, policy) &&
+         detail::place_by_racks(state, config, job, policy, out);
+}
+
+std::optional<TakePlan> compute_take(const ResourceState& state,
+                                     const ClusterConfig& config,
+                                     const Job& job, PlacementPolicy policy) {
+  TakePlan plan;
+  if (!compute_take_into(state, config, job, policy, plan)) return std::nullopt;
+  return plan;
 }
 
 bool can_apply(const ResourceState& state, const TakePlan& plan) {

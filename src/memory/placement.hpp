@@ -56,29 +56,41 @@ struct TakePlan {
   [[nodiscard]] std::int64_t gpu_total() const;
 };
 
-/// Plan a start of `job` against `state`. Returns nullopt when the job
-/// cannot start (insufficient nodes or pool capacity under `policy`).
+/// Plan a start of `job` against `state` into `out`, reusing its storage.
+/// Returns false when the job cannot start (insufficient nodes or pool
+/// capacity under `policy`). On true every field of `out` is overwritten —
+/// `takes` is cleared and refilled, `bb_bytes` and the per-node split are
+/// reset — so a plan left by another job or policy never leaks through. On
+/// false the contents of `out` are unspecified. Sweeps that plan millions of
+/// times per run call this with one long-lived plan and allocate nothing.
+[[nodiscard]] bool compute_take_into(const ResourceState& state,
+                                     const ClusterConfig& config,
+                                     const Job& job, PlacementPolicy policy,
+                                     TakePlan& out);
+
+/// compute_take_into into a fresh plan: nullopt when the job cannot start.
 [[nodiscard]] std::optional<TakePlan> compute_take(const ResourceState& state,
                                                    const ClusterConfig& config,
                                                    const Job& job,
                                                    PlacementPolicy policy);
 
-/// The pieces of compute_take, exposed for the property tests.
+/// The pieces of compute_take_into, exposed for the property tests.
 namespace detail {
 
 /// Necessary conditions for a plan, checked before any rack ordering: the
 /// free nodes (GPU-clamped) cover the request, and for a deficit job the
 /// free bytes in the tiers its routing may draw from cover the deficit.
-/// False means compute_take has no plan; true promises nothing.
+/// False means compute_take_into has no plan; true promises nothing.
 [[nodiscard]] bool aggregate_admits(const ResourceState& state,
                                     const ClusterConfig& config,
                                     const Job& job,
                                     const PlacementPolicy& policy);
 
-/// The full rack walk: compute_take without the aggregate bound.
-[[nodiscard]] std::optional<TakePlan> place_by_racks(
-    const ResourceState& state, const ClusterConfig& config, const Job& job,
-    const PlacementPolicy& policy);
+/// The full rack walk: compute_take_into without the aggregate bound (same
+/// contract on `out`).
+[[nodiscard]] bool place_by_racks(const ResourceState& state,
+                                  const ClusterConfig& config, const Job& job,
+                                  const PlacementPolicy& policy, TakePlan& out);
 
 /// Rack visit order under `selection` into `order` (resized, no other
 /// allocation). Deterministic: ties break on rack index.

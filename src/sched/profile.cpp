@@ -63,25 +63,26 @@ bool AvailabilityTimeline::has_release_in(SimTime after, SimTime upto) const {
 
 // --- FreeProfile -------------------------------------------------------------
 
-FreeProfile::FreeProfile(ResourceState base, SimTime now,
+FreeProfile::FreeProfile(const ResourceState& base, SimTime now,
                          const ClusterConfig* config) {
-  reset(std::move(base), now, config);
+  reset(base, now, config);
 }
 
-void FreeProfile::reset(ResourceState base, SimTime now,
+void FreeProfile::reset(const ResourceState& base, SimTime now,
                         const ClusterConfig* config) {
   DMSCHED_ASSERT(config != nullptr, "FreeProfile: null config");
-  base_ = std::move(base);
+  base_ = base;
   now_ = now;
   config_ = config;
-  deltas_.clear();
+  // Delta slots and cache rows are truncated logically; their storage is
+  // kept for the rebuild to copy-assign into.
+  live_ = 0;
   ordered_.clear();
   base_mark_ = 0;
   from_timeline_ = false;
   timeline_id_ = 0;
   timeline_version_ = 0;
   cache_times_.clear();
-  cache_states_.clear();
   cache_consumed_.clear();
 }
 
@@ -105,14 +106,11 @@ bool FreeProfile::sync(const SchedContext& ctx) {
   }
   if (tl != nullptr) {
     reset(tl->free_now(), now, &tl->config());
-    const auto& entries = tl->entries();
-    deltas_.reserve(entries.size());
-    ordered_.reserve(entries.size());
-    for (const auto& e : entries) {
+    for (const auto& e : tl->entries()) {
       // Timeline entries are already in delta_precedes order (all adds,
       // time-sorted), so ordered_ is just the identity — no sort.
-      deltas_.push_back({e.time, e.take, /*adds=*/true});
-      ordered_.push_back(static_cast<std::uint32_t>(ordered_.size()));
+      ordered_.push_back(static_cast<std::uint32_t>(live_));
+      store_delta(e.time, e.take, /*adds=*/true);
     }
     from_timeline_ = true;
     timeline_id_ = tl->id();
@@ -123,7 +121,7 @@ bool FreeProfile::sync(const SchedContext& ctx) {
       add_release(r.expected_end, r.take);
     }
   }
-  base_mark_ = deltas_.size();
+  base_mark_ = live_;
   return false;
 }
 
@@ -133,21 +131,29 @@ void FreeProfile::add_release(SimTime time, const TakePlan& take) {
   // An expected release in the past (a dilated job overrunning its walltime
   // bound) needs no clamp: every query instant is >= now(), so the delta is
   // folded into the sweep-start state either way.
-  insert_delta({time, take, /*adds=*/true});
+  insert_delta(time, take, /*adds=*/true);
 }
 
 void FreeProfile::add_hold(SimTime start, SimTime end, const TakePlan& take) {
   DMSCHED_ASSERT(start >= now_, "add_hold: hold starts in the past");
   DMSCHED_ASSERT(end > start, "add_hold: empty hold");
-  insert_delta({start, take, /*adds=*/false});
-  insert_delta({end, take, /*adds=*/true});
+  insert_delta(start, take, /*adds=*/false);
+  insert_delta(end, take, /*adds=*/true);
 }
 
-void FreeProfile::insert_delta(ProfileDelta d) {
-  invalidate_cache_from(d.time);
-  const auto idx = static_cast<std::uint32_t>(deltas_.size());
-  deltas_.push_back(std::move(d));
-  const ProfileDelta& nd = deltas_.back();
+void FreeProfile::store_delta(SimTime time, const TakePlan& take, bool adds) {
+  if (live_ == deltas_.size()) deltas_.emplace_back();
+  ProfileDelta& d = deltas_[live_++];
+  d.time = time;
+  d.take = take;  // copy-assign: reuses the slot's rack-slice capacity
+  d.adds = adds;
+}
+
+void FreeProfile::insert_delta(SimTime time, const TakePlan& take, bool adds) {
+  invalidate_cache_from(time);
+  const auto idx = static_cast<std::uint32_t>(live_);
+  store_delta(time, take, adds);
+  const ProfileDelta& nd = deltas_[idx];
   // upper_bound: equal deltas land after existing ones, so ties within one
   // (time, adds) class keep insertion order — exactly what stable_sort over
   // the insertion-ordered vector used to produce.
@@ -160,17 +166,17 @@ void FreeProfile::insert_delta(ProfileDelta d) {
 }
 
 void FreeProfile::rollback(Mark m) {
-  DMSCHED_ASSERT(m <= deltas_.size(), "rollback: mark from the future");
-  if (m == deltas_.size()) return;
+  DMSCHED_ASSERT(m <= live_, "rollback: mark from the future");
+  if (m == live_) return;
   SimTime first_removed = kTimeInfinity;
-  for (std::size_t i = m; i < deltas_.size(); ++i) {
+  for (std::size_t i = m; i < live_; ++i) {
     first_removed = std::min(first_removed, deltas_[i].time);
   }
   invalidate_cache_from(first_removed);
   ordered_.erase(std::remove_if(ordered_.begin(), ordered_.end(),
                                 [m](std::uint32_t i) { return i >= m; }),
                  ordered_.end());
-  deltas_.resize(m);
+  live_ = m;
 }
 
 void FreeProfile::invalidate_cache_from(SimTime t) const {
@@ -179,23 +185,24 @@ void FreeProfile::invalidate_cache_from(SimTime t) const {
   const auto keep = static_cast<std::size_t>(it - cache_times_.begin());
   // Surviving rows only fold deltas with time < t; a delta inserted or
   // removed at time >= t sits after that prefix in ordered_, so the rows'
-  // consumed counts stay valid.
+  // consumed counts stay valid. cache_states_ keeps every row's storage.
   cache_times_.resize(keep);
-  cache_states_.resize(keep);
   cache_consumed_.resize(keep);
 }
 
 bool FreeProfile::ensure_rows(std::size_t n) const {
   while (cache_times_.size() < n) {
-    std::size_t i = cache_consumed_.empty() ? 0 : cache_consumed_.back();
+    const std::size_t row = cache_times_.size();
+    std::size_t i = row == 0 ? 0 : cache_consumed_.back();
     if (i == ordered_.size()) return false;  // every delta is folded
     const SimTime row_time = deltas_[ordered_[i]].time;
     // One row per distinct delta time, with every delta at that time folded
     // (adds before subtracts, per ordered_) — intermediate same-time states
     // are never observable, matching the "apply everything <= t" contract.
-    cache_states_.push_back(cache_states_.empty() ? base_
-                                                  : cache_states_.back());
-    ResourceState& state = cache_states_.back();
+    // A retained row is copy-assigned, which reuses its vectors.
+    if (row == cache_states_.size()) cache_states_.emplace_back();
+    ResourceState& state = cache_states_[row];
+    state = row_state(row);
     while (i < ordered_.size() && deltas_[ordered_[i]].time == row_time) {
       const ProfileDelta& d = deltas_[ordered_[i]];
       apply_signed(state, d.take, d.adds);
@@ -222,7 +229,7 @@ std::size_t FreeProfile::rows_through(SimTime t) const {
       cache_times_.begin());
 }
 
-ResourceState FreeProfile::state_at(SimTime time) const {
+const ResourceState& FreeProfile::state_at(SimTime time) const {
   DMSCHED_ASSERT(time >= now_, "state_at: time in the past");
   return row_state(rows_through(time));
 }
@@ -263,21 +270,22 @@ std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
   // candidate t, cache_times_[row] is next_change_after(t) and
   // cache_states_[row] the state there. Holds make availability
   // non-monotone, so every breakpoint is tested. Row references die at the
-  // next ensure_rows.
+  // next ensure_rows. Candidates are planned into plan_; only the plan
+  // returned is copied out.
   std::size_t row = rows_through(now_);
   SimTime t = now_;
   for (;;) {
-    if (auto plan = compute_take(row_state(row), *config_, job, policy)) {
-      const SimTime end = t + duration_of(*plan);
+    if (compute_take_into(row_state(row), *config_, job, policy, plan_)) {
+      const SimTime end = t + duration_of(plan_);
       bool continuous = true;
       for (std::size_t j = row; ensure_rows(j + 1) && cache_times_[j] < end;
            ++j) {
-        if (!can_apply(cache_states_[j], *plan)) {
+        if (!can_apply(cache_states_[j], plan_)) {
           continuous = false;
           break;
         }
       }
-      if (continuous) return Fit{t, std::move(*plan)};
+      if (continuous) return Fit{t, plan_};
     }
     if (!ensure_rows(row + 1)) return std::nullopt;  // final state tested
     t = cache_times_[row];

@@ -29,6 +29,15 @@
 // plus at most one row fold (one ResourceState copy), and visits the same
 // breakpoints and states, byte for byte, as a sweep that binary-searches
 // next_change_after() and state_at() at every step.
+//
+// Storage rule: the sweep allocates nothing in steady state. Cache rows and
+// delta slots are truncated *logically* — the row count is
+// cache_times_.size(), the live delta count is live_ — and the storage past
+// either end is retained: a regrown row or a reused slot is copy-assigned,
+// which reuses its vectors' capacity. Fit candidates are planned into one
+// scratch TakePlan (compute_take_into); only the plan a fit returns is
+// copied out. invalidate_cache_from, rollback, drop_holds and a dirty sync
+// therefore cost no frees, and the next sweep no allocations.
 #pragma once
 
 #include <cstdint>
@@ -124,7 +133,8 @@ class FreeProfile {
   FreeProfile() = default;
 
   /// `base` is the free state at `now` (normally `snapshot(cluster)`).
-  FreeProfile(ResourceState base, SimTime now, const ClusterConfig* config);
+  FreeProfile(const ResourceState& base, SimTime now,
+              const ClusterConfig* config);
 
   /// Convenience: base state and releases of all running jobs (via the
   /// context's timeline when it has one, else rebuilt from the running
@@ -153,8 +163,10 @@ class FreeProfile {
   void add_hold(SimTime start, SimTime end, const TakePlan& take);
 
   /// Free state as of `time` (>= now): base plus all releases/holds with
-  /// effect time <= `time`.
-  [[nodiscard]] ResourceState state_at(SimTime time) const;
+  /// effect time <= `time`. The reference is into the prefix-state cache:
+  /// it is valid until the next call on this profile, so copy (or
+  /// copy-assign) it before querying or mutating the profile again.
+  [[nodiscard]] const ResourceState& state_at(SimTime time) const;
 
   /// Earliest time >= now at which `job` fits *instantaneously*, with the
   /// plan it would get: earliest_fit_window with a zero-length window.
@@ -178,7 +190,7 @@ class FreeProfile {
   /// reservation primitive for conservative backfilling, where future holds
   /// make availability non-monotone. `duration_of` maps the plan chosen at
   /// the candidate start to the job's walltime bound (dilation depends on
-  /// where the memory comes from).
+  /// where the memory comes from); it must not query this profile.
   [[nodiscard]] std::optional<Fit> earliest_fit_window(
       const Job& job, PlacementPolicy policy,
       const std::function<SimTime(const TakePlan&)>& duration_of) const;
@@ -189,7 +201,7 @@ class FreeProfile {
   /// dropped with `rollback(mark)`. Backfill uses this to test "what if I
   /// start candidate C now" without copying the profile.
   using Mark = std::size_t;
-  [[nodiscard]] Mark mark() const { return deltas_.size(); }
+  [[nodiscard]] Mark mark() const { return live_; }
   void rollback(Mark m);
 
   /// All change points (now plus every release/hold boundary at or after
@@ -203,8 +215,11 @@ class FreeProfile {
   [[nodiscard]] SimTime next_change_after(SimTime t) const;
 
  private:
-  void reset(ResourceState base, SimTime now, const ClusterConfig* config);
-  void insert_delta(ProfileDelta d);
+  void reset(const ResourceState& base, SimTime now,
+             const ClusterConfig* config);
+  /// Write delta slot live_ (copy-assigned when retained) and count it live.
+  void store_delta(SimTime time, const TakePlan& take, bool adds);
+  void insert_delta(SimTime time, const TakePlan& take, bool adds);
   /// Drop cached prefix states at or after `t` (a delta at `t` changed).
   void invalidate_cache_from(SimTime t) const;
   /// Grow the prefix-state cache to at least `n` rows, one row (one copy of
@@ -224,9 +239,12 @@ class FreeProfile {
   ResourceState base_;
   SimTime now_{};
   const ClusterConfig* config_ = nullptr;
-  /// Insertion-ordered deltas — the mark()/rollback() domain.
+  /// Insertion-ordered delta slots — the mark()/rollback() domain. The
+  /// first live_ are live; the rest are retained storage (see the header).
   std::vector<ProfileDelta> deltas_;
-  /// Indices into deltas_ in delta_precedes order (ties: insertion order).
+  std::size_t live_ = 0;
+  /// Indices of live deltas_ in delta_precedes order (ties: insertion
+  /// order).
   std::vector<std::uint32_t> ordered_;
   /// Number of leading deltas_ that are timeline releases (drop_holds floor).
   Mark base_mark_ = 0;
@@ -240,10 +258,13 @@ class FreeProfile {
   // time <= cache_times_[k] (one row per distinct delta time, ascending),
   // and cache_consumed_[k] counts the ordered_ entries folded in. Rows at
   // or after a mutated time are truncated; everything earlier survives
-  // across queries, holds, rollbacks, and clean syncs.
+  // across queries, holds, rollbacks, and clean syncs. The row count is
+  // cache_times_.size(); cache_states_ never shrinks (see the header).
   mutable std::vector<SimTime> cache_times_;
   mutable std::vector<ResourceState> cache_states_;
   mutable std::vector<std::size_t> cache_consumed_;
+  /// earliest_fit_window's candidate plan, reused across steps and calls.
+  mutable TakePlan plan_;
 };
 
 }  // namespace dmsched

@@ -5,6 +5,8 @@
 //    allocation-free rack order against a std::stable_sort reference, on
 //    states whose racks tie;
 //  - the kernel's monotonicity in demand and in free state, by brute force;
+//  - the into-form kernel against compute_take, from a plan dirtied by
+//    another job and policy;
 //  - profile fitting against brute-force probing of state_at().
 #include <gtest/gtest.h>
 
@@ -17,10 +19,12 @@
 #include "common/rng.hpp"
 #include "sched/profile.hpp"
 #include "testing/builders.hpp"
+#include "testing/equality.hpp"
 
 namespace dmsched {
 namespace {
 
+using testing::expect_plans_equal;
 using testing::job;
 
 constexpr int kRounds = 300;
@@ -224,7 +228,8 @@ TEST(PlacementFuzz, AggregateBoundNeverRejectsAPlaceableJob) {
         for (const ResourceAxes axes :
              {ResourceAxes::memory_only(), ResourceAxes::all()}) {
           const PlacementPolicy policy{sel, route, axes};
-          const auto full = detail::place_by_racks(s, c, j, policy);
+          TakePlan full_plan;
+          const bool full = detail::place_by_racks(s, c, j, policy, full_plan);
           const bool admits = detail::aggregate_admits(s, c, j, policy);
           if (full) {
             ++placed;
@@ -235,9 +240,9 @@ TEST(PlacementFuzz, AggregateBoundNeverRejectsAPlaceableJob) {
           if (!admits) ++pruned;
           // The bounded kernel answers exactly as the full walk.
           const auto bounded = compute_take(s, c, j, policy);
-          ASSERT_EQ(bounded.has_value(), full.has_value()) << "round " << round;
+          ASSERT_EQ(bounded.has_value(), full) << "round " << round;
           if (full) {
-            EXPECT_EQ(bounded->node_total(), full->node_total());
+            EXPECT_EQ(bounded->node_total(), full_plan.node_total());
           }
         }
       }
@@ -482,6 +487,68 @@ TEST(PlacementFuzz, KernelIsMonotoneInDemandAndFreeState) {
   EXPECT_GT(state_pairs, 10000u);
   std::printf("%zu admitted, %zu rejected demands; %zu grown-state tables\n",
               admitted, rejected, state_pairs);
+}
+
+TEST(PlacementFuzz, IntoFormOverwritesEveryFieldOfADirtyPlan) {
+  Rng rng(17041);
+  std::size_t admitted = 0;
+  std::size_t rejected = 0;
+  std::size_t neighbor_draws = 0;
+  std::size_t stale_bb = 0;
+  std::size_t stale_takes = 0;
+  TakePlan plan;
+  for (int round = 0; round < kRounds; ++round) {
+    const ClusterConfig c = fuzz_axes_config(rng);
+    const ResourceState s = small_axes_state(rng, c);
+    const ResourceState idle = empty_state(c);
+    const Job j = fuzz_axes_job(rng, c);
+    for (const NodeSelection sel : kSelections) {
+      for (const PoolRouting route : kRoutings) {
+        for (const bool gpus : {false, true}) {
+          for (const bool bb : {false, true}) {
+            const PlacementPolicy policy{sel, route,
+                                         {.gpus = gpus, .burst_buffer = bb}};
+            // Dirty the plan: another job under another policy, planned on
+            // the idle machine (or left half-written by a rejection).
+            const PlacementPolicy other{
+                kSelections[static_cast<std::size_t>(rng.uniform_int(0, 3))],
+                kRoutings[static_cast<std::size_t>(rng.uniform_int(0, 3))],
+                ResourceAxes::all()};
+            (void)compute_take_into(idle, c, fuzz_axes_job(rng, c), other,
+                                    plan);
+            const TakePlan dirty = plan;
+            const auto fresh = compute_take(s, c, j, policy);
+            const bool ok = compute_take_into(s, c, j, policy, plan);
+            SCOPED_TRACE(::testing::Message()
+                         << "round " << round << " (" << to_string(sel)
+                         << ", " << to_string(route) << ", gpus " << gpus
+                         << ", bb " << bb << ")");
+            ASSERT_EQ(ok, fresh.has_value());
+            if (!ok) {
+              ++rejected;
+              continue;
+            }
+            ++admitted;
+            expect_plans_equal(plan, *fresh);
+            if (plan.neighbor_pool_total() > Bytes{0}) ++neighbor_draws;
+            if (dirty.bb_bytes > plan.bb_bytes) ++stale_bb;
+            if (dirty.takes.size() > plan.takes.size()) ++stale_takes;
+          }
+        }
+      }
+    }
+  }
+  // Every outcome the overwrite contract covers must occur: admissions and
+  // rejections, shared-neighbors stage-2 draws, and dirty plans carrying a
+  // burst-buffer reservation or more rack slices than the fresh plan.
+  EXPECT_GT(admitted, 1000u);
+  EXPECT_GT(rejected, 1000u);
+  EXPECT_GT(neighbor_draws, 50u);
+  EXPECT_GT(stale_bb, 100u);
+  EXPECT_GT(stale_takes, 100u);
+  std::printf("%zu admitted, %zu rejected; %zu neighbor draws, %zu stale bb, "
+              "%zu stale slices\n",
+              admitted, rejected, neighbor_draws, stale_bb, stale_takes);
 }
 
 TEST(ProfileFuzz, EarliestFitAgreesWithStateProbing) {

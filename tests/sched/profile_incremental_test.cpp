@@ -24,12 +24,14 @@
 #include "sched/easy.hpp"
 #include "sched/profile.hpp"
 #include "testing/builders.hpp"
+#include "testing/equality.hpp"
 #include "testing/fake_context.hpp"
 #include "topology/topology.hpp"
 
 namespace dmsched {
 namespace {
 
+using testing::expect_plans_equal;
 using testing::FakeContext;
 using testing::job;
 using testing::machine;
@@ -43,21 +45,6 @@ void expect_states_equal(const ResourceState& a, const ResourceState& b) {
   EXPECT_EQ(a.free_nodes, b.free_nodes);
   EXPECT_EQ(a.pool_free, b.pool_free);
   EXPECT_EQ(a.global_free, b.global_free);
-}
-
-void expect_plans_equal(const TakePlan& a, const TakePlan& b) {
-  EXPECT_EQ(a.local_per_node, b.local_per_node);
-  EXPECT_EQ(a.far_per_node, b.far_per_node);
-  EXPECT_EQ(a.bb_bytes, b.bb_bytes);
-  ASSERT_EQ(a.takes.size(), b.takes.size());
-  for (std::size_t i = 0; i < a.takes.size(); ++i) {
-    EXPECT_EQ(a.takes[i].rack, b.takes[i].rack);
-    EXPECT_EQ(a.takes[i].nodes, b.takes[i].nodes);
-    EXPECT_EQ(a.takes[i].rack_pool_bytes, b.takes[i].rack_pool_bytes);
-    EXPECT_EQ(a.takes[i].global_pool_bytes, b.takes[i].global_pool_bytes);
-    EXPECT_EQ(a.takes[i].gpus, b.takes[i].gpus);
-    EXPECT_EQ(a.takes[i].neighbor_pool_bytes, b.takes[i].neighbor_pool_bytes);
-  }
 }
 
 /// Reference window fit: probe next_change_after() and state_at() at every

@@ -25,52 +25,16 @@
 #include "core/factory.hpp"
 #include "memory/placement.hpp"
 #include "testing/builders.hpp"
+#include "testing/equality.hpp"
 #include "topology/topology.hpp"
 #include "workload/scenarios.hpp"
 
 namespace dmsched {
 namespace {
 
-// EXPECT_EQ on doubles is deliberate: the contract is bit-reproducibility,
-// not tolerance. (The labels differ by design — "mem-easy" vs
-// "resource-easy" — so label is the one field not compared.)
-void expect_metrics_equal(const RunMetrics& a, const RunMetrics& b) {
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-    SCOPED_TRACE("job " + std::to_string(i));
-    EXPECT_EQ(a.jobs[i].id, b.jobs[i].id);
-    EXPECT_EQ(a.jobs[i].fate, b.jobs[i].fate);
-    EXPECT_EQ(a.jobs[i].submit.usec(), b.jobs[i].submit.usec());
-    EXPECT_EQ(a.jobs[i].start.usec(), b.jobs[i].start.usec());
-    EXPECT_EQ(a.jobs[i].end.usec(), b.jobs[i].end.usec());
-    EXPECT_EQ(a.jobs[i].dilation, b.jobs[i].dilation);
-    EXPECT_EQ(a.jobs[i].far_rack.count(), b.jobs[i].far_rack.count());
-    EXPECT_EQ(a.jobs[i].far_global.count(), b.jobs[i].far_global.count());
-  }
-  EXPECT_EQ(a.makespan.usec(), b.makespan.usec());
-  EXPECT_EQ(a.node_utilization, b.node_utilization);
-  EXPECT_EQ(a.rack_pool_utilization, b.rack_pool_utilization);
-  EXPECT_EQ(a.rack_pool_peak, b.rack_pool_peak);
-  EXPECT_EQ(a.global_pool_utilization, b.global_pool_utilization);
-  EXPECT_EQ(a.global_pool_peak, b.global_pool_peak);
-  EXPECT_EQ(a.rack_pool_busiest_peak, b.rack_pool_busiest_peak);
-  EXPECT_EQ(a.gpu_utilization, b.gpu_utilization);
-  EXPECT_EQ(a.gpu_peak, b.gpu_peak);
-  EXPECT_EQ(a.bb_utilization, b.bb_utilization);
-  EXPECT_EQ(a.bb_peak, b.bb_peak);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.killed, b.killed);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.mean_wait_hours, b.mean_wait_hours);
-  EXPECT_EQ(a.p95_wait_hours, b.p95_wait_hours);
-  EXPECT_EQ(a.mean_bsld, b.mean_bsld);
-  EXPECT_EQ(a.p95_bsld, b.p95_bsld);
-  EXPECT_EQ(a.mean_dilation, b.mean_dilation);
-  EXPECT_EQ(a.frac_jobs_far, b.frac_jobs_far);
-  EXPECT_EQ(a.remote_access_fraction, b.remote_access_fraction);
-  EXPECT_EQ(a.far_gib_hours, b.far_gib_hours);
-  EXPECT_EQ(a.jobs_per_hour, b.jobs_per_hour);
-}
+// The labels differ by design ("mem-easy" vs "resource-easy"); the shared
+// comparison skips the label.
+using testing::expect_metrics_equal;
 
 struct RunResult {
   RunMetrics metrics;
